@@ -774,7 +774,7 @@ pub mod sweep {
 /// measure what constant redundancy actually buys.
 pub mod faults {
     use super::*;
-    use cr_core::{Scheme, SchemeKind};
+    use cr_core::{Scheme, SchemeKind, SimBuilder};
     use cr_faults::{FaultPlan, FaultyBuilder, FaultyScheme};
 
     /// The default fault-fraction sweep: `f ∈ {0, 1/64, 1/32, 1/16, 1/8, 1/4}`.
@@ -798,12 +798,14 @@ pub mod faults {
     }
 
     /// Populate all of memory through faulty access steps, then run mixed
-    /// read/write steps; returns the scheme with its report filled in.
+    /// read/write steps; returns the scheme with its report filled in,
+    /// and the phases a same-seed healthy scheme spent on the same
+    /// requests (the slowdown baseline).
     fn run_one(
         kind: SchemeKind,
         f: f64,
         ctx: &RunCtx,
-    ) -> Result<FaultyScheme, cr_core::BuildError> {
+    ) -> Result<(FaultyScheme, u64), cr_core::BuildError> {
         let (n, m) = size_for(kind);
         let plan = FaultPlan::modules(f)
             .with_placement(ctx.fault_placement)
@@ -813,6 +815,11 @@ pub mod faults {
             .seed(ctx.seed)
             .plan(plan)
             .build()?;
+        let mut healthy = SimBuilder::new(n, m).kind(kind).seed(ctx.seed).build()?;
+        let mut step = |reads: &[usize], writes: &[(usize, i64)]| {
+            s.access(reads, writes);
+            healthy.access(reads, writes);
+        };
         let mut rng = rng_from_seed(ctx.seed ^ 14);
         // Populate every cell in n-request write waves (writes under
         // faults: this is where hashing silently loses data).
@@ -820,20 +827,20 @@ pub mod faults {
             let writes: Vec<(usize, i64)> = (base..(base + n).min(m))
                 .map(|a| (a, (a * 37 + 11) as i64))
                 .collect();
-            s.access(&[], &writes);
+            step(&[], &writes);
         }
         // Mixed steps.
         for _ in 0..6 {
             let p = workloads::uniform(n, m, 0.3, &mut rng);
-            s.access(&p.reads, &p.writes);
+            step(&p.reads, &p.writes);
         }
         // Read-back sweep: every cell is audited once, so lost data is
         // counted even if the mixed steps missed it.
         for base in (0..m).step_by(n) {
             let reads: Vec<usize> = (base..(base + n).min(m)).collect();
-            s.access(&reads, &[]);
+            step(&reads, &[]);
         }
-        Ok(s)
+        Ok((s, healthy.totals().0.phases))
     }
 
     /// Render the fault sweep (one table row and one JSON row per
@@ -857,8 +864,8 @@ pub mod faults {
         let mut detail = String::new();
         for &kind in &ctx.schemes {
             for &f in &fractions {
-                let s = match run_one(kind, f, ctx) {
-                    Ok(s) => s,
+                let (s, healthy_phases) = match run_one(kind, f, ctx) {
+                    Ok(run) => run,
                     Err(e) => return format!("E14: cannot build {kind}: {e}"),
                 };
                 let rep = s.report();
@@ -870,15 +877,16 @@ pub mod faults {
                     format!("{:.1}%", 100.0 * rep.read_survival()),
                     (rep.recovered_majority + rep.recovered_ida).to_string(),
                     rep.stale_reads.to_string(),
-                    format!("{:.2}x", rep.slowdown()),
+                    format!("{:.2}x", rep.slowdown(healthy_phases)),
                 ]);
-                json.push_str(&rep.to_json(kind.name(), f));
+                json.push_str(&rep.to_json(kind.name(), f, healthy_phases));
                 json.push('\n');
                 if ctx.fault_fraction.is_some() {
                     detail.push_str(&format!(
-                        "\n{} at f = {f:.4} ({}):\n{rep}\n",
+                        "\n{} at f = {f:.4} ({}):\n{}\n",
                         kind.name(),
-                        ctx.fault_placement
+                        ctx.fault_placement,
+                        rep.display(healthy_phases)
                     ));
                 }
             }
@@ -888,8 +896,8 @@ pub mod faults {
              Constant redundancy is fault tolerance: the copy schemes survive\n\
              every fault wave that leaves a majority alive, IDA survives up to\n\
              d-quorum lost shares per block, and single-copy hashing loses\n\
-             cells at any f > 0. Slowdown is measured against a fault-free\n\
-             twin on the identical workload.\n{}\n{}\njson:\n{}",
+             cells at any f > 0. Slowdown is measured against a same-seed\n\
+             healthy run of the identical workload.\n{}\n{}\njson:\n{}",
             ctx.fault_placement,
             ctx.seed,
             t.render(),
@@ -1378,21 +1386,25 @@ pub mod serve {
             }
         });
         let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        let info = h.info().expect("service is up");
-        assert_eq!(info.sessions, sessions, "all sessions stayed live");
-        let steps = sessions as u64 * STEPS_PER_SESSION;
-        // Cycle attribution comes straight off the service's metrics
-        // registry — the same counters METRICS exports as
-        // cr_stage{1,2}_cycles_total, summed across shards.
+        // Latency and cycle attribution come straight off the service's
+        // metrics registry — the cells INFO and METRICS render, summed
+        // across shards.
         let reg = h.registry();
+        assert_eq!(
+            reg.total("cr_sessions_live"),
+            Some(sessions as u64),
+            "all sessions stayed live"
+        );
+        let steps = sessions as u64 * STEPS_PER_SESSION;
+        let latency = reg.histogram("cr_step_latency_ns").unwrap_or_default();
         let row = ServeRow {
             scheme: kind.name(),
             shards,
             sessions,
             steps,
             steps_per_sec: steps as f64 / elapsed,
-            p50_us: info.latency.p50() as f64 / 1e3,
-            p99_us: info.latency.p99() as f64 / 1e3,
+            p50_us: latency.p50() as f64 / 1e3,
+            p99_us: latency.p99() as f64 / 1e3,
             stage1_cycles: reg.total("cr_stage1_cycles_total").unwrap_or(0),
             stage2_cycles: reg.total("cr_stage2_cycles_total").unwrap_or(0),
         };

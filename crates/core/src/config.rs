@@ -1,5 +1,6 @@
 //! Scheme configuration, derived from the paper's parameter conventions.
 
+use crate::scheme::{SchemeKind, SchemeParams};
 use models::params::{ipow_ceil, pow2_at_least};
 use models::PaperParams;
 
@@ -112,6 +113,19 @@ impl SchemeConfig {
     /// Redundancy `r = 2c − 1`.
     pub fn redundancy(&self) -> usize {
         2 * self.c - 1
+    }
+
+    /// The [`SchemeParams`] a copy-based scheme of `kind` built from this
+    /// configuration reports.
+    pub fn params(&self, kind: SchemeKind) -> SchemeParams {
+        SchemeParams {
+            kind,
+            n: self.n,
+            m: self.m,
+            modules: self.modules,
+            redundancy: self.redundancy() as f64,
+            seed: self.seed,
+        }
     }
 
     /// Cluster size (= redundancy).

@@ -29,6 +29,9 @@ pub struct HashedDmmpc {
     modules: usize,
     seed: u64,
     cells: Vec<Word>,
+    /// Per variable: the module the seeded hash chose, computed once at
+    /// build so a step charges each request with one load.
+    home: Vec<u32>,
     last_congestion: u64,
     worst_congestion: u64,
     last: StepReport,
@@ -37,29 +40,66 @@ pub struct HashedDmmpc {
     /// Flat per-step congestion counter (replaces the old per-step
     /// `HashMap`).
     congestion: CongestionCounter,
+    /// Per-module unavailability mask (fault injection); empty on a
+    /// healthy machine.
+    unavailable: Vec<bool>,
+    /// Per-step queue depths at the unavailable modules.
+    dead_queues: CongestionCounter,
 }
 
 impl HashedDmmpc {
     /// A memory of `m` cells hashed over `modules` modules.
     pub fn new(n: usize, m: usize, modules: usize, seed: u64) -> Self {
         assert!(n >= 1 && m >= 1 && modules >= 1);
+        let ids = u64::from(u32::try_from(modules).expect("module ids fit in u32"));
         HashedDmmpc {
             n,
             modules,
             seed,
             cells: vec![0; m],
+            home: (0..m)
+                .map(|v| (simrng::mix64(v as u64 ^ seed) % ids) as u32)
+                .collect(),
             last_congestion: 0,
             worst_congestion: 0,
             last: StepReport::default(),
             total: StepReport::default(),
             steps: 0,
             congestion: CongestionCounter::new(modules),
+            unavailable: Vec::new(),
+            dead_queues: CongestionCounter::new(0),
         }
     }
 
-    /// The module holding variable `v`.
+    /// Mark modules unavailable (fault injection): `dead[j]` means module
+    /// `j` no longer serves requests. There is no second copy to fall
+    /// back on, so reads of its cells return 0 and writes to them are
+    /// lost. Those requests were still sent: their issuers wait out the
+    /// dead module's queue before giving up, so a step lasts at least
+    /// that queue's depth. Only served requests count as the step's
+    /// requests and messages.
+    pub fn set_unavailable(&mut self, dead: &[bool]) {
+        assert_eq!(dead.len(), self.modules, "mask must cover every module");
+        self.unavailable = dead.to_vec();
+        self.dead_queues = CongestionCounter::new(self.modules);
+    }
+
+    /// Charge one request to module `md`: whether the module serves it.
+    /// A request to an unavailable module only lengthens that module's
+    /// dead queue.
+    fn charge(&mut self, md: usize) -> bool {
+        if !self.unavailable.is_empty() && self.unavailable[md] {
+            self.dead_queues.touch(md);
+            false
+        } else {
+            self.congestion.touch(md);
+            true
+        }
+    }
+
+    /// The module holding variable `v` (`v < m`).
     pub fn module_of(&self, v: usize) -> usize {
-        (simrng::mix64(v as u64 ^ self.seed) % self.modules as u64) as usize
+        self.home[v] as usize
     }
 
     /// Congestion (max requests on one module) of the last step.
@@ -80,19 +120,31 @@ impl SharedMemory for HashedDmmpc {
 
     fn access(&mut self, reads: &[usize], writes: &[(usize, Word)]) -> AccessResult {
         assert!(reads.len() + writes.len() <= self.n.max(1));
-        for &a in reads.iter().chain(writes.iter().map(|(a, _)| a)) {
-            let md = self.module_of(a);
-            self.congestion.touch(md);
+        let mut requests = 0;
+        // The step's one allocation: the returned result vector. Every
+        // read sees the memory as it was before the step's writes.
+        let read_values = reads
+            .iter()
+            .map(|&a| {
+                let served = self.charge(self.module_of(a));
+                requests += usize::from(served);
+                if served {
+                    self.cells[a]
+                } else {
+                    0
+                }
+            })
+            .collect();
+        for &(a, v) in writes {
+            if self.charge(self.module_of(a)) {
+                requests += 1;
+                self.cells[a] = v;
+            }
         }
         let congestion = self.congestion.finish();
-        // The step's one allocation: the returned result vector.
-        let read_values = reads.iter().map(|&a| self.cells[a]).collect();
-        for &(a, v) in writes {
-            self.cells[a] = v;
-        }
+        let timeout = self.dead_queues.finish();
         self.last_congestion = congestion;
         self.worst_congestion = self.worst_congestion.max(congestion);
-        let requests = reads.len() + writes.len();
         let report = StepReport {
             requests,
             phases: congestion,
@@ -109,8 +161,8 @@ impl SharedMemory for HashedDmmpc {
         AccessResult {
             read_values,
             cost: StepCost {
-                phases: congestion,
-                cycles: congestion,
+                phases: congestion.max(timeout),
+                cycles: congestion.max(timeout),
                 messages: report.messages,
             },
         }
@@ -164,6 +216,26 @@ mod tests {
         let (tot, steps) = h.totals();
         assert_eq!(steps, 2);
         assert_eq!(tot.requests, 4);
+    }
+
+    #[test]
+    fn unavailable_modules_lose_cells_but_still_cost_time() {
+        let mut h = HashedDmmpc::new(8, 64, 8, 1);
+        let dead_md = h.module_of(0);
+        let lost: Vec<usize> = (0..64).filter(|&v| h.module_of(v) == dead_md).collect();
+        let alive = (0..64).find(|&v| h.module_of(v) != dead_md).unwrap();
+        let mut dead = vec![false; 8];
+        dead[dead_md] = true;
+        h.set_unavailable(&dead);
+        h.access(&[], &[(0, 7), (alive, 9)]);
+        // Three reads queue at the dead module and return 0; the one
+        // served read is the step's only request.
+        let r = h.access(&[lost[0], lost[1], alive, lost[2]], &[]);
+        assert_eq!(r.read_values, vec![0, 0, 9, 0]);
+        assert_eq!(r.cost.phases, 3, "issuers wait out the dead queue");
+        assert_eq!(r.cost.messages, 2);
+        assert_eq!(h.last_step().requests, 1);
+        assert_eq!(h.last_step().phases, 1);
     }
 
     #[test]

@@ -361,7 +361,7 @@ impl SimBuilder {
 
     /// Validate and construct the scheme.
     pub fn build(&self) -> Result<Box<dyn Scheme>, BuildError> {
-        self.validate_common()?;
+        self.validate()?;
         match self.kind {
             SchemeKind::HpDmmpc => Ok(Box::new(HpDmmpc::new(&self.fine_config()?))),
             SchemeKind::Hp2dmotLeaves => Ok(Box::new(Hp2dmotLeaves::new(&self.fine_config()?))),
@@ -416,7 +416,7 @@ impl SimBuilder {
     /// users can tweak fields the builder does not cover (e.g.
     /// `stage1_phases`) and construct directly.
     pub fn fine_config(&self) -> Result<SchemeConfig, BuildError> {
-        self.validate_common()?;
+        self.validate()?;
         let base = SchemeConfig::for_pram(self.n, self.m);
         let c = self.c.unwrap_or(base.c);
         let modules = self.modules.unwrap_or(base.modules);
@@ -436,7 +436,7 @@ impl SimBuilder {
     /// the coarse baselines around decorated executors and must derive the
     /// *identical* configuration the builder would.
     pub fn coarse_config(&self, modules_default: usize) -> Result<SchemeConfig, BuildError> {
-        self.validate_common()?;
+        self.validate()?;
         let modules = self.modules.unwrap_or(modules_default);
         let c = match self.c {
             Some(c) => {
@@ -456,9 +456,10 @@ impl SimBuilder {
     }
 
     /// The zero/emptiness checks shared by every construction path, so
-    /// [`fine_config`](Self::fine_config) rejects the same degenerate
-    /// inputs [`build`](Self::build) does instead of panicking downstream.
-    fn validate_common(&self) -> Result<(), BuildError> {
+    /// [`fine_config`](Self::fine_config) and external composers (the
+    /// fault layer's `FaultyBuilder`) reject the same degenerate inputs
+    /// [`build`](Self::build) does instead of panicking downstream.
+    pub fn validate(&self) -> Result<(), BuildError> {
         if self.n == 0 || self.m == 0 {
             return Err(BuildError::EmptyMachine {
                 n: self.n,

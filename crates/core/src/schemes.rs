@@ -46,15 +46,7 @@ macro_rules! impl_scheme {
                 self.inner.totals()
             }
             fn params(&self) -> SchemeParams {
-                let cfg = self.inner.config();
-                SchemeParams {
-                    kind: $kind,
-                    n: cfg.n,
-                    m: cfg.m,
-                    modules: cfg.modules,
-                    redundancy: cfg.redundancy() as f64,
-                    seed: cfg.seed,
-                }
+                self.inner.config().params($kind)
             }
         }
     };

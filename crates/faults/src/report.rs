@@ -1,10 +1,15 @@
 //! [`FaultReport`]: what the faults actually cost, measured not assumed.
 //!
 //! Every [`crate::FaultyScheme`] carries one report, updated per step by
-//! comparing the faulty machine's answers against an identically-seeded
-//! fault-free twin. All fields are integers, so reports from two runs of
-//! the same plan can be compared for byte-identical equality (the
-//! determinism property the test suite asserts).
+//! classifying the faulty machine's answers against the fault-free
+//! P-RAM. All fields are integers, so reports from two runs of the same
+//! plan can be compared for byte-identical equality (the determinism
+//! property the test suite asserts).
+//!
+//! Slowdown compares two runs, so it is not a field: the caller measures
+//! a same-seed healthy run of the same requests and hands its phase
+//! total to [`FaultReport::slowdown`], [`FaultReport::to_json`] and
+//! [`FaultReport::display`].
 
 use std::fmt;
 
@@ -28,7 +33,7 @@ pub struct FaultReport {
     pub reads: u64,
     /// Write requests observed.
     pub writes: u64,
-    /// Reads that returned the fault-free twin's value.
+    /// Reads that returned the value the fault-free P-RAM holds.
     pub correct_reads: u64,
     /// Reads that returned a wrong (stale or failed) value for a cell that
     /// was still recoverable — e.g. a quorum cut short by link faults, or
@@ -55,25 +60,20 @@ pub struct FaultReport {
     pub dropped_messages: u64,
     /// Total phases the faulty machine spent.
     pub faulty_phases: u64,
-    /// Total phases the fault-free twin spent on the same workload.
-    pub baseline_phases: u64,
-    /// Total cycles the faulty machine spent.
-    pub faulty_cycles: u64,
-    /// Total cycles the fault-free twin spent.
-    pub baseline_cycles: u64,
 }
 
 impl FaultReport {
-    /// Time blowup versus the fault-free twin, in phases (1.0 = no
-    /// slowdown; faults cost nothing when nothing was touched). Can dip
-    /// below 1.0 under *processor* faults: dead processors issue less
-    /// work, so the surviving machine genuinely finishes its (smaller)
-    /// steps sooner than the fault-free twin finishes the full ones.
-    pub fn slowdown(&self) -> f64 {
-        if self.baseline_phases == 0 {
+    /// Time blowup versus a healthy run that spent `healthy_phases` on
+    /// the same requests (1.0 = no slowdown; faults cost nothing when
+    /// nothing was touched). Can dip below 1.0 under *processor* faults:
+    /// dead processors issue less work, so the surviving machine
+    /// genuinely finishes its (smaller) steps sooner than the healthy
+    /// machine finishes the full ones.
+    pub fn slowdown(&self, healthy_phases: u64) -> f64 {
+        if healthy_phases == 0 {
             1.0
         } else {
-            self.faulty_phases as f64 / self.baseline_phases as f64
+            self.faulty_phases as f64 / healthy_phases as f64
         }
     }
 
@@ -90,8 +90,9 @@ impl FaultReport {
     }
 
     /// One JSON object per `(scheme, fault fraction)` pair — the row
-    /// format experiment E14 emits for downstream plotting.
-    pub fn to_json(&self, scheme: &str, fraction: f64) -> String {
+    /// format experiment E14 emits for downstream plotting;
+    /// `baseline_phases` is the healthy run's `healthy_phases`.
+    pub fn to_json(&self, scheme: &str, fraction: f64, healthy_phases: u64) -> String {
         format!(
             concat!(
                 "{{\"experiment\":\"E14\",\"scheme\":\"{}\",\"f\":{:.6},",
@@ -124,54 +125,56 @@ impl FaultReport {
             self.dead_attempts,
             self.dropped_messages,
             self.faulty_phases,
-            self.baseline_phases,
+            healthy_phases,
             self.read_survival(),
-            self.slowdown(),
+            self.slowdown(healthy_phases),
         )
     }
-}
 
-impl fmt::Display for FaultReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "FaultReport: {} dead modules, {} dead processors, {} dead links",
-            self.dead_modules, self.dead_processors, self.dead_links
-        )?;
-        writeln!(f, "  lost cells (unrecoverable): {:>8}", self.lost_cells)?;
-        writeln!(
-            f,
-            "  reads: {} total = {} correct + {} stale + {} lost + {} unserved  (survival {:.1}%)",
-            self.reads,
-            self.correct_reads,
-            self.stale_reads,
-            self.lost_reads,
-            self.unserved_reads,
-            100.0 * self.read_survival()
-        )?;
-        writeln!(
-            f,
-            "  recovered by majority: {:>6}   recovered by IDA: {:>6}",
-            self.recovered_majority, self.recovered_ida
-        )?;
-        writeln!(
-            f,
-            "  writes: {} ({} lost)   unserved requests: {}",
-            self.writes, self.lost_writes, self.unserved_requests
-        )?;
-        writeln!(
-            f,
-            "  dead attempts: {}   dropped messages: {}",
-            self.dead_attempts, self.dropped_messages
-        )?;
-        write!(
-            f,
-            "  phases: {} vs {} fault-free  (slowdown {:.2}x over {} steps)",
-            self.faulty_phases,
-            self.baseline_phases,
-            self.slowdown(),
-            self.steps
-        )
+    /// The report as text, its last line measured against a healthy run
+    /// that spent `healthy_phases` on the same requests.
+    pub fn display(&self, healthy_phases: u64) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            writeln!(
+                f,
+                "FaultReport: {} dead modules, {} dead processors, {} dead links",
+                self.dead_modules, self.dead_processors, self.dead_links
+            )?;
+            writeln!(f, "  lost cells (unrecoverable): {:>8}", self.lost_cells)?;
+            writeln!(
+                f,
+                "  reads: {} total = {} correct + {} stale + {} lost + {} unserved  (survival {:.1}%)",
+                self.reads,
+                self.correct_reads,
+                self.stale_reads,
+                self.lost_reads,
+                self.unserved_reads,
+                100.0 * self.read_survival()
+            )?;
+            writeln!(
+                f,
+                "  recovered by majority: {:>6}   recovered by IDA: {:>6}",
+                self.recovered_majority, self.recovered_ida
+            )?;
+            writeln!(
+                f,
+                "  writes: {} ({} lost)   unserved requests: {}",
+                self.writes, self.lost_writes, self.unserved_requests
+            )?;
+            writeln!(
+                f,
+                "  dead attempts: {}   dropped messages: {}",
+                self.dead_attempts, self.dropped_messages
+            )?;
+            write!(
+                f,
+                "  phases: {} vs {} fault-free  (slowdown {:.2}x over {} steps)",
+                self.faulty_phases,
+                healthy_phases,
+                self.slowdown(healthy_phases),
+                self.steps
+            )
+        })
     }
 }
 
@@ -182,7 +185,7 @@ mod tests {
     #[test]
     fn ratios_guard_division_by_zero() {
         let r = FaultReport::default();
-        assert_eq!(r.slowdown(), 1.0);
+        assert_eq!(r.slowdown(0), 1.0);
         assert_eq!(r.read_survival(), 1.0);
     }
 
@@ -194,16 +197,16 @@ mod tests {
             correct_reads: 9,
             lost_reads: 1,
             faulty_phases: 30,
-            baseline_phases: 20,
             ..Default::default()
         };
-        let j = r.to_json("hp-dmmpc", 0.0625);
+        let j = r.to_json("hp-dmmpc", 0.0625, 20);
         assert!(j.starts_with('{') && j.ends_with('}'));
         for key in [
             "\"experiment\":\"E14\"",
             "\"scheme\":\"hp-dmmpc\"",
             "\"f\":0.062500",
             "\"dead_modules\":4",
+            "\"baseline_phases\":20",
             "\"slowdown\":1.5000",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
@@ -216,7 +219,7 @@ mod tests {
     #[test]
     fn display_names_the_report() {
         let r = FaultReport::default();
-        let s = format!("{r}");
+        let s = r.display(0).to_string();
         assert!(s.contains("FaultReport"));
         assert!(s.contains("slowdown"));
     }

@@ -1,5 +1,5 @@
 //! [`FaultyScheme`]: any member of the scheme zoo, running on a broken
-//! machine, measured against its fault-free twin.
+//! machine, measured against the fault-free P-RAM.
 //!
 //! [`FaultyBuilder`] mirrors `cr_core::SimBuilder` — same `(n, m)`, same
 //! kind, same seed, same derived configuration — but threads the
@@ -8,17 +8,17 @@
 //! * the copy-based schemes get their `PhaseExecutor` wrapped in a
 //!   [`FaultyExec`] (dead modules, message drops) and, on the 2DMOT, dead
 //!   links injected into the routed network itself;
-//! * the hashed baseline loses every request aimed at a dead module —
-//!   there is no second copy to try;
+//! * the hashed baseline loses every request aimed at a dead module via
+//!   its unavailability mask — there is no second copy to try;
 //! * the IDA scheme recovers from surviving shares via its
 //!   unavailability mask.
 //!
-//! Every constructed [`FaultyScheme`] also carries an identically-seeded
-//! **fault-free twin** built through `SimBuilder`. Each step runs on both
-//! machines; the twin supplies the ground-truth values (what a correct
-//! run would have returned) and the fault-free cost, so the
-//! [`FaultReport`] can count correct / stale / lost reads and measure
-//! slowdown instead of guessing it.
+//! Ground truth is the static-fault model's reference machine: an
+//! [`IdealMemory`] that executes every intended step. Each read is
+//! classified against it, so the [`FaultReport`] counts correct / stale /
+//! lost reads instead of guessing them. The fault-free *cost* is not
+//! this scheme's business: determinism makes it the cost of a same-seed
+//! healthy run of the same requests, which callers measure directly.
 
 use cr_core::executors::{BipartiteExec, MotExec};
 use cr_core::majority::{MajorityScheme, StepReport};
@@ -28,7 +28,7 @@ use cr_core::{
     SchemeParams, SimBuilder,
 };
 use memdist::MemoryMap;
-use pram_machine::{AccessResult, SharedMemory, Word};
+use pram_machine::{AccessResult, IdealMemory, SharedMemory, Word};
 
 use crate::exec::FaultyExec;
 use crate::plan::FaultPlan;
@@ -89,6 +89,18 @@ impl Engine {
             Engine::GridFlat(s) => s.totals(),
             Engine::Hashed(s) => Scheme::totals(s),
             Engine::Ida(s) => Scheme::totals(s),
+        }
+    }
+
+    /// What the scheme reports about itself: exactly what `SimBuilder`
+    /// would report for the same configuration.
+    fn params(&self, kind: SchemeKind) -> SchemeParams {
+        match self {
+            Engine::Flat(s) => s.config().params(kind),
+            Engine::Grid(s) => s.config().params(kind),
+            Engine::GridFlat(s) => s.config().params(kind),
+            Engine::Hashed(s) => s.params(),
+            Engine::Ida(s) => s.params(),
         }
     }
 
@@ -158,7 +170,7 @@ impl FaultyBuilder {
         self
     }
 
-    /// Seed of the memory distribution (shared with the fault-free twin).
+    /// Seed of the memory distribution.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -170,8 +182,8 @@ impl FaultyBuilder {
         self
     }
 
-    /// Validate, construct the scheme with its fault wiring, and pair it
-    /// with its fault-free twin.
+    /// Validate exactly as `SimBuilder::build` would, then construct the
+    /// scheme with its fault wiring.
     pub fn build(&self) -> Result<FaultyScheme, BuildError> {
         let FaultyBuilder {
             n,
@@ -180,9 +192,9 @@ impl FaultyBuilder {
             seed,
             plan,
         } = *self;
-        // The twin validates the configuration exactly as SimBuilder would.
-        let baseline = SimBuilder::new(n, m).kind(kind).seed(seed).build()?;
-        let hot = plan.hot_cell % m.max(1);
+        let builder = SimBuilder::new(n, m).kind(kind).seed(seed);
+        builder.validate()?;
+        let hot = plan.hot_cell % m;
 
         // Per-kind: build the engine, the dead-module mask over the
         // scheme's own contention units, and the per-cell classification
@@ -191,7 +203,6 @@ impl FaultyBuilder {
         let mut dead_links = 0usize;
         let (engine, dead_modules, faulty_copies, recoverable) = match kind {
             SchemeKind::HpDmmpc | SchemeKind::UwMpc => {
-                let builder = SimBuilder::new(n, m).kind(kind).seed(seed);
                 let cfg = match kind {
                     SchemeKind::HpDmmpc => builder.fine_config()?,
                     _ => builder.coarse_config(n)?,
@@ -210,7 +221,7 @@ impl FaultyBuilder {
                 (Engine::Flat(s), dead, fc, rec)
             }
             SchemeKind::Hp2dmotLeaves => {
-                let cfg = SimBuilder::new(n, m).kind(kind).seed(seed).fine_config()?;
+                let cfg = builder.fine_config()?;
                 let side = Hp2dmotLeaves::side_for(&cfg);
                 let cfg = cfg.with_modules(side);
                 let r = cfg.redundancy();
@@ -227,10 +238,7 @@ impl FaultyBuilder {
                 (Engine::Grid(s), dead, fc, rec)
             }
             SchemeKind::Lpp2dmot => {
-                let cfg = SimBuilder::new(n, m)
-                    .kind(kind)
-                    .seed(seed)
-                    .coarse_config(n.max(2))?;
+                let cfg = builder.coarse_config(n.max(2))?;
                 let r = cfg.redundancy();
                 let side = Lpp2dmot::side_for(&cfg);
                 let map = MemoryMap::random(cfg.m, cfg.modules, r, cfg.seed);
@@ -246,26 +254,23 @@ impl FaultyBuilder {
                 (Engine::GridFlat(s), dead, fc, rec)
             }
             SchemeKind::Hashed => {
-                let modules = SimBuilder::new(n, m).kind(kind).hashed_modules();
-                let inner = HashedDmmpc::new(n, m, modules, seed);
+                let modules = builder.hashed_modules();
+                let mut inner = HashedDmmpc::new(n, m, modules, seed);
                 let mut loads = vec![0usize; modules];
                 for v in 0..m {
                     loads[inner.module_of(v)] += 1;
                 }
-                let hot_modules = vec![inner.module_of(hot)];
-                let dead = plan.module_mask(modules, &loads, &hot_modules);
-                let mut fc = vec![0u32; m];
-                let mut rec = vec![true; m];
-                for v in 0..m {
-                    if dead[inner.module_of(v)] {
-                        fc[v] = 1;
-                        rec[v] = false; // the only copy is gone
-                    }
-                }
+                let dead = plan.module_mask(modules, &loads, &[inner.module_of(hot)]);
+                // The only copy is gone: a faulty cell is a lost cell.
+                let fc: Vec<u32> = (0..m)
+                    .map(|v| u32::from(dead[inner.module_of(v)]))
+                    .collect();
+                let rec = fc.iter().map(|&c| c == 0).collect();
+                inner.set_unavailable(&dead);
                 (Engine::Hashed(inner), dead, fc, rec)
             }
             SchemeKind::Ida => {
-                let (modules, b, d) = SimBuilder::new(n, m).kind(kind).ida_layout()?;
+                let (modules, b, d) = builder.ida_layout()?;
                 let mut inner = IdaShared::new(n, m, modules, b, d);
                 let store = inner.store();
                 let vars_per_block = store.vars_per_block();
@@ -308,13 +313,16 @@ impl FaultyBuilder {
         };
         Ok(FaultyScheme {
             kind,
+            params: engine.params(kind),
             engine,
-            baseline,
+            truth: IdealMemory::new(m),
             plan,
             dead_procs,
             faulty_copies,
             recoverable,
             report,
+            live_reads: Vec::with_capacity(n),
+            live_writes: Vec::with_capacity(n),
         })
     }
 }
@@ -352,15 +360,18 @@ fn classify_map(map: &MemoryMap, dead: &[bool]) -> (Vec<u32>, Vec<bool>) {
     (faulty, recoverable)
 }
 
-/// A scheme from the zoo running under a [`FaultPlan`], paired with its
-/// fault-free twin. Implements [`Scheme`], so zoo-sweeping experiments
-/// drive it exactly like a healthy machine — plus [`Self::report`] for
-/// what the faults cost.
+/// A scheme from the zoo running under a [`FaultPlan`], judged against
+/// the fault-free P-RAM. Implements [`Scheme`], so zoo-sweeping
+/// experiments drive it exactly like a healthy machine — plus
+/// [`Self::report`] for what the faults cost.
 #[derive(Debug)]
 pub struct FaultyScheme {
     kind: SchemeKind,
     engine: Engine,
-    baseline: Box<dyn Scheme>,
+    /// The fault-free P-RAM: every intended write lands here.
+    truth: IdealMemory,
+    /// What `SimBuilder` would report for the same configuration.
+    params: SchemeParams,
     plan: FaultPlan,
     dead_procs: Vec<bool>,
     /// Per cell: copies/shares of this cell residing in dead modules.
@@ -368,6 +379,10 @@ pub struct FaultyScheme {
     /// Per cell: whether the scheme can still guarantee recovery.
     recoverable: Vec<bool>,
     report: FaultReport,
+    /// The requests live processors issue (reused across steps, sized
+    /// for `n` processors at build).
+    live_reads: Vec<usize>,
+    live_writes: Vec<(usize, Word)>,
 }
 
 impl FaultyScheme {
@@ -399,91 +414,57 @@ impl FaultyScheme {
 
 impl SharedMemory for FaultyScheme {
     fn size(&self) -> usize {
-        self.baseline.size()
+        self.params.m
     }
 
+    // lint: hot
     fn access(&mut self, reads: &[usize], writes: &[(usize, Word)]) -> AccessResult {
-        // The twin executes the intended step: its answers are the ground
-        // truth a correct machine would produce, its cost the fault-free
-        // baseline.
-        let truth = self.baseline.access(reads, writes);
         let nreads = reads.len();
-        let hashed = matches!(self.engine, Engine::Hashed(_));
-
+        let dead_proc = |i: usize| self.dead_procs.get(i).copied().unwrap_or(false);
         // Requests from dead processors are never issued; the surviving
         // requests are re-indexed onto the engine's processors 0..k (the
-        // static-fault model's renumbering of live processors). On the
-        // hashed scheme, requests to dead modules have nowhere to go at
-        // all (their target modules are collected so the timeout they
-        // cost is still charged below).
-        let mut dead_targets: Vec<usize> = Vec::new();
-        let mut live_reads = Vec::with_capacity(nreads);
-        let mut live_read_pos = Vec::with_capacity(nreads);
+        // static-fault model's renumbering of live processors).
+        self.live_reads.clear();
+        self.live_writes.clear();
         for (i, &a) in reads.iter().enumerate() {
-            if self.dead_procs.get(i).copied().unwrap_or(false) {
-                self.report.unserved_requests += 1;
-                continue;
+            if !dead_proc(i) {
+                self.live_reads.push(a);
             }
-            if hashed && self.faulty_copies[a] > 0 {
-                if let Engine::Hashed(h) = &self.engine {
-                    dead_targets.push(h.module_of(a));
-                }
-                continue; // classified as a lost read below
-            }
-            live_read_pos.push(i);
-            live_reads.push(a);
         }
-        let mut live_writes = Vec::with_capacity(writes.len());
-        for (j, &(a, v)) in writes.iter().enumerate() {
-            if self.dead_procs.get(nreads + j).copied().unwrap_or(false) {
-                self.report.unserved_requests += 1;
-                continue;
+        for (j, &w) in writes.iter().enumerate() {
+            if !dead_proc(nreads + j) {
+                self.live_writes.push(w);
             }
-            if hashed && self.faulty_copies[a] > 0 {
-                if let Engine::Hashed(h) = &self.engine {
-                    dead_targets.push(h.module_of(a));
-                }
-                continue; // the cell's only module is dead
-            }
-            live_writes.push((a, v));
         }
-
-        let mut res = self.engine.access(&live_reads, &live_writes);
-        // Requests aimed at a dead module were still *sent* — the issuing
-        // processors wait out the dead module's (unserved) queue before
-        // giving up, so the step cannot be cheaper than that queue depth.
-        // Without this charge, losing cells would make the hashed machine
-        // look *faster* (its congestion is computed over fewer requests).
-        if !dead_targets.is_empty() {
-            // Deepest dead-module queue = longest run of one module id
-            // (sort + scan: deterministic, no hashing).
-            dead_targets.sort_unstable();
-            let mut timeout = 0u64;
-            let mut run = 0u64;
-            let mut prev = usize::MAX;
-            for &md in &dead_targets {
-                run = if md == prev { run + 1 } else { 1 };
-                prev = md;
-                timeout = timeout.max(run);
-            }
-            res.cost.phases = res.cost.phases.max(timeout);
-            res.cost.cycles = res.cost.cycles.max(timeout);
-        }
-        let mut read_values = vec![0 as Word; nreads];
-        for (k, &i) in live_read_pos.iter().enumerate() {
-            read_values[i] = res.read_values[k];
+        self.report.unserved_requests +=
+            (nreads + writes.len() - self.live_reads.len() - self.live_writes.len()) as u64;
+        let mut res = self.engine.access(&self.live_reads, &self.live_writes);
+        // Scatter the live values back to their intended slots, in place:
+        // walking down, a live value only moves up, so each one is read
+        // before its slot is overwritten. Unissued reads read 0.
+        let values = &mut res.read_values;
+        let mut k = values.len();
+        values.resize(nreads, 0);
+        for i in (0..nreads).rev() {
+            values[i] = if dead_proc(i) {
+                0
+            } else {
+                k -= 1;
+                values[k]
+            };
         }
 
-        // Classify every intended read against the twin's answer.
+        // Classify every intended read against the fault-free P-RAM,
+        // which then executes the intended writes — all of them, dead
+        // processors' included: that is the run a correct machine makes.
+        let truth = self.truth.cells();
         for (i, &a) in reads.iter().enumerate() {
             self.report.reads += 1;
-            if self.dead_procs.get(i).copied().unwrap_or(false) {
+            if dead_proc(i) {
                 self.report.unserved_reads += 1;
-                continue; // in unserved_requests too (with the writes)
-            }
-            if !self.recoverable[a] {
+            } else if !self.recoverable[a] {
                 self.report.lost_reads += 1;
-            } else if read_values[i] == truth.read_values[i] {
+            } else if res.read_values[i] == truth[a] {
                 self.report.correct_reads += 1;
                 if self.faulty_copies[a] > 0 {
                     match self.kind {
@@ -496,6 +477,7 @@ impl SharedMemory for FaultyScheme {
                 self.report.stale_reads += 1;
             }
         }
+        self.truth.access(&[], writes);
         self.report.writes += writes.len() as u64;
         self.report.lost_writes += writes
             .iter()
@@ -504,23 +486,16 @@ impl SharedMemory for FaultyScheme {
 
         self.report.steps += 1;
         self.report.faulty_phases += res.cost.phases;
-        self.report.faulty_cycles += res.cost.cycles;
-        self.report.baseline_phases += truth.cost.phases;
-        self.report.baseline_cycles += truth.cost.cycles;
         let (dead_attempts, dropped) = self.engine.exec_stats();
         self.report.dead_attempts = dead_attempts;
         self.report.dropped_messages = dropped;
-
-        AccessResult {
-            read_values,
-            cost: res.cost,
-        }
+        res
     }
 
     fn poke(&mut self, addr: usize, value: Word) {
         // Initialization path: both machines receive it, outside the
         // report's step accounting.
-        self.baseline.poke(addr, value);
+        self.truth.poke(addr, value);
         self.engine.poke(addr, value);
     }
 }
@@ -531,11 +506,11 @@ impl Scheme for FaultyScheme {
     }
 
     fn redundancy(&self) -> f64 {
-        self.baseline.redundancy()
+        self.params.redundancy
     }
 
     fn modules(&self) -> usize {
-        self.baseline.modules()
+        self.params.modules
     }
 
     fn last_step(&self) -> StepReport {
@@ -547,7 +522,7 @@ impl Scheme for FaultyScheme {
     }
 
     fn params(&self) -> SchemeParams {
-        self.baseline.params()
+        self.params
     }
 
     fn fault_counters(&self) -> Option<FaultTotals> {

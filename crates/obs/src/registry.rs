@@ -84,6 +84,7 @@ impl RegistryBuilder {
     /// same atomics the workers write.
     pub fn build(self) -> Registry {
         Registry {
+            shards: self.shards,
             families: self.families,
         }
     }
@@ -91,38 +92,64 @@ impl RegistryBuilder {
 
 /// The read side: merges per-shard cells and renders exposition text.
 pub struct Registry {
+    shards: usize,
     families: Vec<Family>,
 }
 
 impl Registry {
-    /// The cross-shard sum of a counter or gauge family (`None` for
-    /// unknown names and for histogram families).
-    pub fn total(&self, name: &str) -> Option<u64> {
+    fn family(&self, name: &str) -> Option<&FamilyKind> {
         self.families
             .iter()
             .find(|f| f.name == name)
-            .and_then(|f| match &f.kind {
-                FamilyKind::Counters(hs) => Some(hs.iter().map(Counter::get).sum()),
-                FamilyKind::Gauges(hs) => Some(hs.iter().map(Gauge::get).sum()),
-                FamilyKind::Histograms(_) => None,
-            })
+            .map(|f| &f.kind)
+    }
+
+    /// How many shards every family holds one cell for.
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The cross-shard sum of a counter or gauge family (`None` for
+    /// unknown names and for histogram families).
+    pub fn total(&self, name: &str) -> Option<u64> {
+        match self.family(name)? {
+            FamilyKind::Counters(hs) => Some(hs.iter().map(Counter::get).sum()),
+            FamilyKind::Gauges(hs) => Some(hs.iter().map(Gauge::get).sum()),
+            FamilyKind::Histograms(_) => None,
+        }
+    }
+
+    /// One shard's cell of a counter or gauge family (`None` for unknown
+    /// names, histogram families and shards out of range).
+    pub fn shard_value(&self, name: &str, shard: usize) -> Option<u64> {
+        match self.family(name)? {
+            FamilyKind::Counters(hs) => hs.get(shard).map(Counter::get),
+            FamilyKind::Gauges(hs) => hs.get(shard).map(Gauge::get),
+            FamilyKind::Histograms(_) => None,
+        }
     }
 
     /// The merged snapshot of a histogram family (`None` otherwise).
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.families
-            .iter()
-            .find(|f| f.name == name)
-            .and_then(|f| match &f.kind {
-                FamilyKind::Histograms(hs) => {
-                    let mut merged = Histogram::new();
-                    for h in hs {
-                        merged.merge(&h.snapshot());
-                    }
-                    Some(merged)
+        match self.family(name)? {
+            FamilyKind::Histograms(hs) => {
+                let mut merged = Histogram::new();
+                for h in hs {
+                    merged.merge(&h.snapshot());
                 }
-                _ => None,
-            })
+                Some(merged)
+            }
+            _ => None,
+        }
+    }
+
+    /// One shard's snapshot of a histogram family (`None` for other
+    /// names and shards out of range).
+    pub fn shard_histogram(&self, name: &str, shard: usize) -> Option<Histogram> {
+        match self.family(name)? {
+            FamilyKind::Histograms(hs) => hs.get(shard).map(SharedHistogram::snapshot),
+            _ => None,
+        }
     }
 
     /// Render the whole registry as Prometheus text exposition format.
@@ -201,6 +228,42 @@ mod tests {
         assert_eq!(reg.total("nope"), None);
         assert_eq!(reg.histogram("cr_step_latency_ns").unwrap().count(), 1);
         assert!(reg.histogram("cr_steps_total").is_none());
+    }
+
+    #[test]
+    fn per_shard_reads_see_each_shards_cell() {
+        let (reg, c, g, h) = sample_registry();
+        c[0].add(3);
+        c[1].add(4);
+        g[1].add(2);
+        h[1].record(1000);
+        h[1].record(3000);
+        assert_eq!(reg.shards(), 2);
+        assert_eq!(reg.shard_value("cr_steps_total", 0), Some(3));
+        assert_eq!(reg.shard_value("cr_steps_total", 1), Some(4));
+        assert_eq!(reg.shard_value("cr_sessions_live", 0), Some(0));
+        assert_eq!(reg.shard_value("cr_sessions_live", 1), Some(2));
+        assert_eq!(reg.shard_value("cr_steps_total", 2), None, "no shard 2");
+        assert_eq!(
+            reg.shard_value("cr_step_latency_ns", 0),
+            None,
+            "not a scalar"
+        );
+        assert_eq!(reg.shard_value("nope", 0), None);
+        assert_eq!(
+            reg.shard_histogram("cr_step_latency_ns", 0)
+                .unwrap()
+                .count(),
+            0
+        );
+        let one = reg.shard_histogram("cr_step_latency_ns", 1).unwrap();
+        assert_eq!(one.count(), 2);
+        assert_eq!(
+            one.p99(),
+            reg.histogram("cr_step_latency_ns").unwrap().p99()
+        );
+        assert!(reg.shard_histogram("cr_step_latency_ns", 2).is_none());
+        assert!(reg.shard_histogram("cr_steps_total", 0).is_none());
     }
 
     #[test]

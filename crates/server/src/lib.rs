@@ -30,8 +30,9 @@
 //! reply flushes while a client's pipelined window is still buffered.
 //!
 //! Observability (DESIGN.md §10) is built in: every shard records into
-//! preregistered `cr-obs` counters/gauges/histograms (merged and rendered
-//! as Prometheus text by `METRICS` / [`ServiceHandle::metrics_text`]) and
+//! preregistered `cr-obs` counters/gauges/histograms (one registry,
+//! [`ServiceHandle::registry`], rendered as Prometheus text by `METRICS`
+//! and as a per-shard summary by `INFO`) and
 //! into a fixed-capacity ring of structured trace events stamped with
 //! [`SimClock`] ticks (dumped as JSONL by `EVENTS` /
 //! [`ServiceHandle::events`]). Under a manual clock both surfaces are
@@ -78,7 +79,7 @@ pub use cr_verify::{Coverage, VerifyMode, VerifyReport, Violation, ViolationKind
 pub use error::ServeError;
 pub use runtime::{chan, ChanRx, ChanTx, Runtime, TaskHandle, ThreadRuntime};
 pub use service::{
-    build_cores, BatchStepSummary, Service, ServiceApi, ServiceConfig, ServiceHandle, ServiceInfo,
+    build_cores, BatchStepSummary, Service, ServiceApi, ServiceConfig, ServiceHandle,
     DEFAULT_SWEEP_EVERY,
 };
 pub use session::{
@@ -86,6 +87,6 @@ pub use session::{
     MAX_SESSION_M, MAX_SESSION_N, MAX_STEP_BATCH,
 };
 pub use shard::{
-    OpenInfo, Reply, ReplyTx, ShardCmd, ShardCore, ShardMetrics, TraceInfo, VerifyInfo,
-    VerifySummary, DRAIN_BURST, EVENTS_CAPACITY, QUEUE_CAPACITY,
+    OpenInfo, Reply, ReplyTx, ShardCmd, ShardCore, TraceInfo, VerifyInfo, VerifySummary,
+    DRAIN_BURST, EVENTS_CAPACITY, QUEUE_CAPACITY,
 };

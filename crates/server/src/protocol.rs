@@ -30,11 +30,12 @@
 //! malformed frame must never take down a session or the server.
 
 use cr_core::SchemeKind;
+use cr_obs::Registry;
 use pram_machine::Word;
 use std::time::Duration;
 
 use crate::error::ServeError;
-use crate::service::{ServiceApi, ServiceInfo};
+use crate::service::ServiceApi;
 use crate::session::{SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 use crate::shard::{OpenInfo, TraceInfo, VerifyInfo, VerifySummary};
 
@@ -344,34 +345,45 @@ pub fn render_close(t: &TraceInfo) -> String {
     )
 }
 
-/// Render an `INFO` reply (latencies in microseconds): the merged header
-/// line, then one `lines=`-announced payload line per shard so hot-shard
-/// skew (sessions, steps, tail latency) is visible without scraping
-/// `METRICS`.
-pub fn render_info(info: &ServiceInfo) -> String {
+/// Render an `INFO` reply (latencies in microseconds) from the metrics
+/// registry — the cells `METRICS` exposes, in a compact view: the merged
+/// header line, then one `lines=`-announced payload line per shard so
+/// hot-shard skew (sessions, steps, tail latency) is visible without
+/// scraping `METRICS`.
+pub fn render_info(reg: &Registry) -> String {
+    let shards = reg.shards();
+    let cell = |name: &str, shard: usize| reg.shard_value(name, shard).unwrap_or(0);
+    let total = |name: &str| reg.total(name).unwrap_or(0);
+    let latency = reg.histogram("cr_step_latency_ns").unwrap_or_default();
     let mut out = format!(
         "OK shards={} sessions={} opened={} closed={} evicted={} steps={} \
          queue-max={} p50us={:.1} p99us={:.1} lines={}",
-        info.shards,
-        info.sessions,
-        info.opened,
-        info.closed,
-        info.evicted,
-        info.steps,
-        info.queue_depth_max,
-        info.latency.p50() as f64 / 1e3,
-        info.latency.p99() as f64 / 1e3,
-        info.per_shard.len(),
+        shards,
+        total("cr_sessions_live"),
+        total("cr_sessions_opened_total"),
+        total("cr_sessions_closed_total"),
+        total("cr_sessions_evicted_total"),
+        total("cr_steps_total"),
+        (0..shards)
+            .map(|i| cell("cr_queue_depth", i))
+            .max()
+            .unwrap_or(0),
+        latency.p50() as f64 / 1e3,
+        latency.p99() as f64 / 1e3,
+        shards,
     );
-    for m in &info.per_shard {
+    for shard in 0..shards {
+        let latency = reg
+            .shard_histogram("cr_step_latency_ns", shard)
+            .unwrap_or_default();
         out.push_str(&format!(
             "\nshard={} sessions={} steps={} queue={} p50us={:.1} p99us={:.1}",
-            m.shard,
-            m.sessions,
-            m.steps,
-            m.queue_depth,
-            m.latency.p50() as f64 / 1e3,
-            m.latency.p99() as f64 / 1e3,
+            shard,
+            cell("cr_sessions_live", shard),
+            cell("cr_steps_total", shard),
+            cell("cr_queue_depth", shard),
+            latency.p50() as f64 / 1e3,
+            latency.p99() as f64 / 1e3,
         ));
     }
     out
@@ -419,8 +431,8 @@ pub fn execute<A: ServiceApi>(handle: &mut A, frame: Frame) -> Option<String> {
         Frame::Verify(Some(sid)) => handle.verify(sid).map(|v| render_verify(&v)),
         Frame::Verify(None) => handle.verify_all().map(|s| render_verify_summary(&s)),
         Frame::Close(sid) => handle.close(sid).map(|t| render_close(&t)),
-        Frame::Info => handle.info().map(|i| render_info(&i)),
-        Frame::Metrics => Ok(render_metrics(&handle.metrics_text())),
+        Frame::Info => Ok(render_info(handle.registry())),
+        Frame::Metrics => Ok(render_metrics(&handle.registry().render())),
         Frame::Events(sid) => handle.events(sid).map(|evs| render_events(&evs)),
         Frame::Ping => Ok("OK pong".to_string()),
         Frame::Quit => return None,

@@ -11,13 +11,12 @@
 //!
 //! The service also owns the observability read side: one `cr-obs`
 //! [`Registry`] whose per-shard handles were dealt to the workers at
-//! start, rendered by [`ServiceHandle::metrics_text`] (the `METRICS`
-//! verb), and the cross-shard event merge behind
+//! start, read by [`ServiceHandle::registry`] (the `INFO` and `METRICS`
+//! verbs render it), and the cross-shard event merge behind
 //! [`ServiceHandle::events`] (the `EVENTS` verb).
 
 use cr_core::clock::SimClock;
 use cr_obs::{Event, Gauge, Registry, RegistryBuilder};
-use metrics::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,8 +25,8 @@ use crate::error::ServeError;
 use crate::runtime::{chan, ChanTx, Runtime, TaskHandle, ThreadRuntime};
 use crate::session::{SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 use crate::shard::{
-    spawn_shard, OpenInfo, Reply, ShardCmd, ShardCore, ShardMetrics, ShardObs, TraceInfo,
-    VerifyInfo, VerifySummary, EVENTS_CAPACITY, QUEUE_CAPACITY,
+    spawn_shard, OpenInfo, Reply, ShardCmd, ShardCore, ShardObs, TraceInfo, VerifyInfo,
+    VerifySummary, EVENTS_CAPACITY, QUEUE_CAPACITY,
 };
 
 /// Default idle-sweep cadence: how often a shard driver checks for
@@ -73,59 +72,6 @@ impl ServiceConfig {
             shards: shards.max(1),
             ..Default::default()
         }
-    }
-}
-
-/// Merged service-wide counters (`INFO`).
-#[derive(Debug, Clone)]
-pub struct ServiceInfo {
-    /// Shard count.
-    pub shards: usize,
-    /// Live sessions across all shards.
-    pub sessions: usize,
-    /// Sessions ever opened.
-    pub opened: u64,
-    /// Sessions closed by clients.
-    pub closed: u64,
-    /// Sessions evicted by idle TTL.
-    pub evicted: u64,
-    /// Steps executed across all shards.
-    pub steps: u64,
-    /// Deepest per-shard queue at snapshot time.
-    pub queue_depth_max: usize,
-    /// Merged per-step latency histogram (nanoseconds).
-    pub latency: Histogram,
-    /// Per-shard snapshots, in shard order.
-    pub per_shard: Vec<ShardMetrics>,
-}
-
-impl ServiceInfo {
-    /// Merge per-shard snapshots into the service-wide view — shared by
-    /// the threaded handle's `INFO` and `cr-sim`'s, so the two cannot
-    /// drift.
-    pub fn from_shards(per_shard: Vec<ShardMetrics>) -> ServiceInfo {
-        let mut info = ServiceInfo {
-            shards: per_shard.len(),
-            sessions: 0,
-            opened: 0,
-            closed: 0,
-            evicted: 0,
-            steps: 0,
-            queue_depth_max: 0,
-            latency: Histogram::new(),
-            per_shard: Vec::new(),
-        };
-        for m in &per_shard {
-            info.sessions += m.sessions;
-            info.opened += m.opened;
-            info.closed += m.closed;
-            info.evicted += m.evicted;
-            info.steps += m.steps;
-            info.queue_depth_max = info.queue_depth_max.max(m.queue_depth);
-            info.latency.merge(&m.latency);
-        }
-        info.per_shard = per_shard;
-        info
     }
 }
 
@@ -477,16 +423,11 @@ impl ServiceHandle {
         }
     }
 
-    /// The live metrics registry (totals and merged histograms without
-    /// parsing the exposition text).
+    /// The live metrics registry: the service's one stats surface
+    /// (`INFO` and `METRICS` render it; typed reads need no text
+    /// parsing).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Prometheus-style text exposition of every registered family —
-    /// the `METRICS` verb's payload.
-    pub fn metrics_text(&self) -> String {
-        self.registry.render()
     }
 
     /// Structured trace events: one session's (`Some(sid)`, served by
@@ -542,18 +483,6 @@ impl ServiceHandle {
         }
         Ok(sum)
     }
-
-    /// Merged service-wide counters and latency histogram.
-    pub fn info(&self) -> Result<ServiceInfo, ServeError> {
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
-            match self.call(shard, |reply| ShardCmd::Metrics { reply })? {
-                Reply::Metrics(m) => per_shard.push(*m),
-                _ => return Err(ServeError::ShardDown),
-            }
-        }
-        Ok(ServiceInfo::from_shards(per_shard))
-    }
 }
 
 /// The service surface the wire protocol executes against
@@ -585,10 +514,8 @@ pub trait ServiceApi {
     fn verify_all(&mut self) -> Result<VerifySummary, ServeError>;
     /// Close a session (`CLOSE`).
     fn close(&mut self, sid: u64) -> Result<TraceInfo, ServeError>;
-    /// Merged service counters (`INFO`).
-    fn info(&mut self) -> Result<ServiceInfo, ServeError>;
-    /// Prometheus exposition text (`METRICS`).
-    fn metrics_text(&mut self) -> String;
+    /// The metrics registry (`INFO`, `METRICS`).
+    fn registry(&self) -> &Registry;
     /// Structured trace events (`EVENTS [sid]`).
     fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError>;
 }
@@ -620,11 +547,8 @@ impl ServiceApi for ServiceHandle {
     fn close(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
         ServiceHandle::close(self, sid)
     }
-    fn info(&mut self) -> Result<ServiceInfo, ServeError> {
-        ServiceHandle::info(self)
-    }
-    fn metrics_text(&mut self) -> String {
-        ServiceHandle::metrics_text(self)
+    fn registry(&self) -> &Registry {
+        ServiceHandle::registry(self)
     }
     fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {
         ServiceHandle::events(self, sid)

@@ -29,7 +29,6 @@
 use cr_core::clock::{SimClock, Tick};
 use cr_obs::{Counter, Event, EventKind, EventRing, Gauge, SharedHistogram};
 use cr_verify::{Coverage, VerifyReport};
-use metrics::Histogram;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -114,32 +113,12 @@ impl VerifySummary {
     }
 }
 
-/// A snapshot of one shard's gauges and counters.
-#[derive(Debug, Clone)]
-pub struct ShardMetrics {
-    /// Shard index.
-    pub shard: usize,
-    /// Live sessions.
-    pub sessions: usize,
-    /// Sessions ever opened here.
-    pub opened: u64,
-    /// Sessions closed by the client.
-    pub closed: u64,
-    /// Sessions evicted by the idle-TTL sweep.
-    pub evicted: u64,
-    /// Steps executed here.
-    pub steps: u64,
-    /// Commands waiting in the queue when the snapshot was taken.
-    pub queue_depth: usize,
-    /// Per-step wall-clock latency (nanoseconds).
-    pub latency: Histogram,
-}
-
 /// The preregistered `cr-obs` handles one shard worker records into.
 ///
 /// Built by the service from a single `RegistryBuilder`, so the
-/// registry's read side (the `METRICS` verb) observes the same atomic
-/// cells the worker bumps — no name lookups anywhere near the hot loop.
+/// registry's read side (the `INFO` and `METRICS` verbs) observes the
+/// same atomic cells the worker bumps — no name lookups anywhere near
+/// the hot loop.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardObs {
     pub(crate) opened: Counter,
@@ -168,8 +147,6 @@ pub enum Reply {
     Stats(SessionStats),
     Trace(TraceInfo),
     Close(TraceInfo),
-    // Boxed: the histogram makes this variant ~20x the others' size.
-    Metrics(Box<ShardMetrics>),
     Events(Vec<Event>),
     Verify(VerifyInfo),
     VerifySummary(VerifySummary),
@@ -203,9 +180,6 @@ pub enum ShardCmd {
     },
     Close {
         sid: u64,
-        reply: ReplyTx,
-    },
-    Metrics {
         reply: ReplyTx,
     },
     Events {
@@ -490,19 +464,6 @@ impl ShardCore {
                     }
                 };
                 let _ = reply.send(out);
-            }
-            ShardCmd::Metrics { reply } => {
-                let snap = ShardMetrics {
-                    shard: self.shard,
-                    sessions: self.sessions.len(),
-                    opened: self.obs.opened.get(),
-                    closed: self.obs.closed.get(),
-                    evicted: self.obs.evicted.get(),
-                    steps: self.obs.steps.get(),
-                    queue_depth: self.obs.queue_depth.get() as usize,
-                    latency: self.obs.latency.snapshot(),
-                };
-                let _ = reply.send(Ok(Reply::Metrics(Box::new(snap))));
             }
             ShardCmd::Verify { sid, reply } => {
                 self.obs.verify_cycles.inc();

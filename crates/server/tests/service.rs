@@ -93,9 +93,8 @@ fn idle_ttl_evicts_but_touch_keeps_alive() {
         Err(ServeError::UnknownSession(_))
     ));
     assert_eq!(h.stats(kept.sid).unwrap().steps, 6);
-    let info = h.info().unwrap();
-    assert_eq!(info.evicted, 1);
-    assert_eq!(info.sessions, 1);
+    assert_eq!(h.registry().total("cr_sessions_evicted_total"), Some(1));
+    assert_eq!(h.registry().total("cr_sessions_live"), Some(1));
     service.shutdown();
 }
 
@@ -121,11 +120,9 @@ fn idle_ttl_evicts_on_virtual_clock() {
     assert!(clock.advance(Duration::from_secs(10)), "manual clock");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        // info() reads counters without touching sessions, so polling it
-        // cannot accidentally refresh the doomed session's TTL.
-        let info = h.info().unwrap();
-        if info.evicted == 1 {
-            assert_eq!(info.sessions, 1);
+        // The registry reads counters without touching sessions, so
+        // polling it cannot accidentally refresh the doomed session's TTL.
+        if h.registry().total("cr_sessions_evicted_total") == Some(1) {
             break;
         }
         assert!(
@@ -134,10 +131,13 @@ fn idle_ttl_evicts_on_virtual_clock() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+    // A shard round trip: the sweep that evicted the session has run to
+    // completion, so the live gauge has caught up with the counter.
     assert!(matches!(
         h.stats(doomed.sid),
         Err(ServeError::UnknownSession(_))
     ));
+    assert_eq!(h.registry().total("cr_sessions_live"), Some(1));
     // The survivor's huge TTL outlived the jump; it still answers.
     assert_eq!(h.stats(kept.sid).unwrap().steps, 0);
     service.shutdown();
@@ -204,9 +204,13 @@ fn step_many_matches_per_session_steps() {
             cycles.push(total);
         }
         traces.push(sids.iter().map(|&s| h.close(s).unwrap().trace).collect());
-        let info = h.info().unwrap();
-        assert_eq!(info.steps, 60);
-        assert_eq!(info.latency.count(), 60, "one sample per step either way");
+        let reg = h.registry();
+        assert_eq!(reg.total("cr_steps_total"), Some(60));
+        assert_eq!(
+            reg.histogram("cr_step_latency_ns").unwrap().count(),
+            60,
+            "one sample per step either way"
+        );
         service.shutdown();
     }
     assert_eq!(traces[0], traces[1], "batching must not change any trace");
@@ -253,16 +257,26 @@ fn info_merges_shard_metrics() {
     for &sid in &sids {
         h.step(sid, WorkloadSpec::Uniform, 2).unwrap();
     }
-    let info = h.info().unwrap();
-    assert_eq!(info.shards, 4);
-    assert_eq!(info.sessions, 32);
-    assert_eq!(info.opened, 32);
-    assert_eq!(info.steps, 64);
-    assert_eq!(info.latency.count(), 64, "one latency sample per step");
-    assert!(info.latency.p99() >= info.latency.p50());
+    let reg = h.registry();
+    assert_eq!(reg.shards(), 4);
+    assert_eq!(reg.total("cr_sessions_live"), Some(32));
+    assert_eq!(reg.total("cr_sessions_opened_total"), Some(32));
+    assert_eq!(reg.total("cr_steps_total"), Some(64));
+    let latency = reg.histogram("cr_step_latency_ns").unwrap();
+    assert_eq!(latency.count(), 64, "one latency sample per step");
+    assert!(latency.p99() >= latency.p50());
     // Hash routing actually spreads sessions across shards.
-    let occupied = info.per_shard.iter().filter(|s| s.sessions > 0).count();
+    let occupied = (0..4)
+        .filter(|&i| reg.shard_value("cr_sessions_live", i) > Some(0))
+        .count();
     assert!(occupied >= 3, "32 sessions must land on >= 3 of 4 shards");
+    // INFO renders exactly these cells.
+    let info = cr_serve::protocol::render_info(reg);
+    assert!(
+        info.starts_with("OK shards=4 sessions=32 opened=32 closed=0 evicted=0 steps=64 "),
+        "{info}"
+    );
+    assert_eq!(info.lines().count(), 5, "header plus one line per shard");
     service.shutdown();
 }
 
@@ -302,7 +316,8 @@ fn events_and_metrics_are_deterministic_across_shard_counts() {
         // Per-shard labeled lines legitimately differ with the shard
         // count; the aggregate samples must not.
         aggregates.push(
-            h.metrics_text()
+            h.registry()
+                .render()
                 .lines()
                 .filter(|l| !l.starts_with('#') && !l.contains("{shard="))
                 .map(String::from)
@@ -369,8 +384,8 @@ fn metrics_exposition_matches_info_counters() {
     let h = service.handle();
     let open = h.open(spec()).unwrap();
     let sum = h.step(open.sid, WorkloadSpec::Uniform, 5).unwrap();
-    let info = h.info().unwrap();
-    let text = h.metrics_text();
+    let info = cr_serve::protocol::render_info(h.registry());
+    let text = h.registry().render();
 
     // Exposition is well-formed: every line is a comment or name+value.
     for line in text.lines() {
@@ -384,16 +399,18 @@ fn metrics_exposition_matches_info_counters() {
             assert!(value.parse::<f64>().is_ok(), "{line}");
         }
     }
-    // The registry and INFO read the same cells.
-    assert!(text.contains(&format!("\ncr_steps_total {}\n", info.steps)));
+    // METRICS and INFO render the same cells.
+    assert!(text.contains("\ncr_steps_total 5\n"));
     assert!(text.contains("\ncr_sessions_live 1\n"));
+    assert!(info.contains(" sessions=1 opened=1 "), "{info}");
+    assert!(info.contains(" steps=5 "), "{info}");
     assert_eq!(
         h.registry().total("cr_steps_total"),
-        Some(info.steps),
+        Some(5),
         "typed read side agrees"
     );
     let lat = h.registry().histogram("cr_step_latency_ns").unwrap();
-    assert_eq!(lat.count(), info.latency.count());
+    assert_eq!(lat.count(), 5);
     // Stage attribution accounts for every cycle the command reported.
     let s1 = h.registry().total("cr_stage1_cycles_total").unwrap();
     let s2 = h.registry().total("cr_stage2_cycles_total").unwrap();
@@ -459,9 +476,9 @@ fn handles_are_usable_from_many_threads() {
             .sum()
     });
     assert_eq!(total, 8 * 8 * 3);
-    let info = service.handle().info().unwrap();
-    assert_eq!(info.opened, 64);
-    assert_eq!(info.closed, 64);
-    assert_eq!(info.sessions, 0);
+    let h = service.handle();
+    assert_eq!(h.registry().total("cr_sessions_opened_total"), Some(64));
+    assert_eq!(h.registry().total("cr_sessions_closed_total"), Some(64));
+    assert_eq!(h.registry().total("cr_sessions_live"), Some(0));
     service.shutdown();
 }

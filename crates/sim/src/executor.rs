@@ -215,10 +215,9 @@ fn finish(
         .verify_all()
         .map(|v| v.violations)
         .unwrap_or(u64::MAX);
-    let (evicted, steps_total) = service
-        .info()
-        .map(|i| (i.evicted, i.steps))
-        .unwrap_or((0, 0));
+    let registry = service.registry();
+    let evicted = registry.total("cr_sessions_evicted_total").unwrap_or(0);
+    let steps_total = registry.total("cr_steps_total").unwrap_or(0);
     let events_jsonl = match service.events(None) {
         Ok(evs) => {
             let mut s = String::new();

@@ -51,9 +51,9 @@ pub struct SimReport {
     pub inconsistent: usize,
     /// Violations reported by the final service-wide `VERIFY`.
     pub violations: u64,
-    /// Sessions the TTL sweeper evicted (from the final `INFO`).
+    /// Sessions the TTL sweeper evicted (from the metrics registry).
     pub evicted: u64,
-    /// Steps executed service-wide (from the final `INFO`).
+    /// Steps executed service-wide (from the metrics registry).
     pub steps_total: u64,
     /// Shard restarts that completed.
     pub restarts: u64,

@@ -13,9 +13,9 @@ use cr_core::clock::{SimClock, Tick};
 use cr_obs::{Event, Registry};
 use cr_serve::ServeError;
 use cr_serve::{
-    build_cores, chan, OpenInfo, Reply, ReplyTx, ServiceApi, ServiceConfig, ServiceInfo,
-    SessionSpec, SessionStats, ShardCmd, ShardCore, StepSummary, TraceInfo, VerifyInfo,
-    VerifySummary, WorkloadSpec,
+    build_cores, chan, OpenInfo, Reply, ReplyTx, ServiceApi, ServiceConfig, SessionSpec,
+    SessionStats, ShardCmd, ShardCore, StepSummary, TraceInfo, VerifyInfo, VerifySummary,
+    WorkloadSpec,
 };
 
 /// The single-threaded stand-in for a running [`cr_serve::Service`].
@@ -201,19 +201,8 @@ impl ServiceApi for SimService {
         }
     }
 
-    fn info(&mut self) -> Result<ServiceInfo, ServeError> {
-        let mut per_shard = Vec::with_capacity(self.cores.len());
-        for shard in 0..self.cores.len() {
-            match self.call(shard, |reply| ShardCmd::Metrics { reply })? {
-                Reply::Metrics(m) => per_shard.push(*m),
-                _ => return Err(ServeError::ShardDown),
-            }
-        }
-        Ok(ServiceInfo::from_shards(per_shard))
-    }
-
-    fn metrics_text(&mut self) -> String {
-        self.registry.render()
+    fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {

@@ -19,7 +19,7 @@
 //!   [`core::Scheme`] trait and constructed via [`core::SimBuilder`];
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`] /
 //!   [`faults::FaultyBuilder`]): every scheme under module, processor,
-//!   link, and message faults, measured against a fault-free twin;
+//!   link, and message faults, each read judged against an ideal memory;
 //! * [`serve`] — the sharded session service: thousands of concurrent
 //!   simulations multiplexed across worker shards, in-process
 //!   ([`serve::Service`]) or over TCP ([`serve::tcp::Server`]);

@@ -15,7 +15,8 @@
 //! the assertions stay strict per-window.
 
 use pramsim::core::protocol::{run_protocol, FlatPlacement, ProtocolWorkspace};
-use pramsim::core::{executors::BipartiteExec, SchemeKind, SimBuilder};
+use pramsim::core::{executors::BipartiteExec, Scheme, SchemeKind, SimBuilder};
+use pramsim::faults::{FaultPlan, FaultyBuilder};
 use pramsim::memdist::{Clusters, MemoryMap};
 use pramsim::metrics::counting;
 use pramsim::simrng::rng_from_seed;
@@ -83,29 +84,37 @@ fn dmmpc_protocol_steps_allocate_nothing_after_warmup() {
 }
 
 /// Every member of the zoo is bounded by the API's one unavoidable
-/// allocation per step — the returned `read_values` vector — once warm.
-/// This pins the regression class the IDA/hashed flattening fixed
-/// (per-step `HashMap`s, Vec-returning codec calls, per-request
-/// `collect()`s): a scheme whose data plane re-grows hidden allocations
-/// fails its own row here, by name.
+/// allocation per step — the returned `read_values` vector — once warm,
+/// healthy or running under module faults. This pins the regression
+/// class the IDA/hashed flattening fixed (per-step `HashMap`s,
+/// Vec-returning codec calls, per-request `collect()`s): a scheme whose
+/// data plane re-grows hidden allocations fails its own row here, by
+/// name.
 #[test]
 fn every_scheme_allocates_at_most_the_result_vector_per_step() {
     assert!(
         counting::is_active(),
         "counting allocator must be installed"
     );
+    let mut inputs: Vec<(&str, SchemeKind, Box<dyn Scheme>)> = Vec::new();
     for kind in SchemeKind::ALL {
-        // The routed 2DMOT schemes simulate every packet; keep their
-        // instances small (same policy as E15 and the golden snapshots).
-        let (n, m) = match kind {
-            SchemeKind::Hp2dmotLeaves | SchemeKind::Lpp2dmot => (8, 32),
-            _ => (64, 256),
-        };
-        let mut s = SimBuilder::new(n, m)
+        let (n, m) = size_for(kind);
+        let healthy = SimBuilder::new(n, m)
             .kind(kind)
             .seed(9)
             .build()
             .expect("zoo regimes are feasible");
+        let faulty = FaultyBuilder::new(n, m)
+            .kind(kind)
+            .seed(9)
+            .plan(FaultPlan::modules(0.125))
+            .build()
+            .expect("zoo regimes are feasible under faults");
+        inputs.push(("healthy", kind, healthy));
+        inputs.push(("faulty", kind, Box::new(faulty)));
+    }
+    for (label, kind, mut s) in inputs {
+        let (n, m) = size_for(kind);
         let mut rng = rng_from_seed(79);
         let pool: Vec<workloads::StepPattern> = (0..8)
             .map(|_| workloads::uniform(n, m, 0.3, &mut rng))
@@ -128,12 +137,21 @@ fn every_scheme_allocates_at_most_the_result_vector_per_step() {
         let allocs = counting::thread_allocations() - before;
         assert!(
             allocs <= steps as u64,
-            "{kind}: expected ≤ 1 allocation per access (the read_values \
-             result), got {allocs} over {steps} steps"
+            "{label} {kind}: expected ≤ 1 allocation per access (the \
+             read_values result), got {allocs} over {steps} steps"
         );
         let (tot, warm_steps) = s.totals();
         assert_eq!(warm_steps as usize, 32 + steps);
         assert!(tot.requests > 0);
+    }
+}
+
+/// The routed 2DMOT schemes simulate every packet; keep their instances
+/// small (same policy as E15 and the golden snapshots).
+fn size_for(kind: SchemeKind) -> (usize, usize) {
+    match kind {
+        SchemeKind::Hp2dmotLeaves | SchemeKind::Lpp2dmot => (8, 32),
+        _ => (64, 256),
     }
 }
 

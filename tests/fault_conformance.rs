@@ -15,7 +15,7 @@
 //! `(scheme, workload seed, fault plan)` triple reproduces byte-identical
 //! `totals()` and `FaultReport`s.
 
-use pramsim::core::{Scheme, SchemeKind};
+use pramsim::core::{Scheme, SchemeKind, SimBuilder};
 use pramsim::faults::{FaultPlan, FaultyBuilder, FaultyScheme, Placement};
 use pramsim::machine::SharedMemory;
 use pramsim::simrng::{rng_from_seed, Rng};
@@ -200,5 +200,28 @@ fn determinism_under_faults_across_the_zoo() {
             report_a, report_b,
             "{kind}: FaultReport must be byte-identical"
         );
+    }
+}
+
+/// `FaultyScheme` answers for itself what `SimBuilder`'s scheme of the
+/// same configuration answers — so `redundancy`, `modules`, `size` and a
+/// faulted session's `OPEN … r= modules=` reply are the healthy ones —
+/// and rejects the same degenerate machines with the same error.
+#[test]
+fn faulty_builder_reports_and_rejects_like_sim_builder() {
+    for kind in SchemeKind::ALL {
+        for (n, m) in [(8, 64), (16, 256), (64, 1024)] {
+            let healthy = SimBuilder::new(n, m).kind(kind).seed(SEED).build().unwrap();
+            let faulty = build(kind, n, m, FaultPlan::modules(0.125).with_seed(SEED));
+            assert_eq!(faulty.params(), healthy.params(), "{kind} n={n} m={m}");
+            assert_eq!(faulty.redundancy(), healthy.redundancy(), "{kind}");
+            assert_eq!(faulty.modules(), healthy.modules(), "{kind}");
+            assert_eq!(faulty.size(), healthy.size(), "{kind}");
+        }
+        for (n, m) in [(0, 64), (8, 0)] {
+            let want = SimBuilder::new(n, m).kind(kind).build().unwrap_err();
+            let got = FaultyBuilder::new(n, m).kind(kind).build().unwrap_err();
+            assert_eq!(got, want, "{kind} n={n} m={m}");
+        }
     }
 }

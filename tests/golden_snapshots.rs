@@ -15,7 +15,7 @@
 //! change: `GOLDEN=print cargo test --test golden_snapshots -- --nocapture`
 //! and paste the printed block.
 
-use pramsim::core::{SchemeKind, SimBuilder};
+use pramsim::core::{Scheme, SchemeKind, SimBuilder};
 use pramsim::faults::{FaultPlan, FaultyBuilder};
 use pramsim::machine::SharedMemory;
 use pramsim::simrng::rng_from_seed;
@@ -54,8 +54,8 @@ fn drive(mem: &mut dyn SharedMemory, n: usize, m: usize) -> u64 {
     hash
 }
 
-/// One scheme's snapshot line: totals + final step + read hash.
-fn snapshot(kind: SchemeKind) -> String {
+/// One healthy scheme after the golden workload, with its read hash.
+fn healthy_run(kind: SchemeKind) -> (Box<dyn Scheme>, u64) {
     let (n, m) = size_for(kind);
     let mut s = SimBuilder::new(n, m)
         .kind(kind)
@@ -63,6 +63,13 @@ fn snapshot(kind: SchemeKind) -> String {
         .build()
         .expect("golden regimes are feasible");
     let hash = drive(s.as_mut(), n, m);
+    (s, hash)
+}
+
+/// One scheme's snapshot line: totals + final step + read hash.
+fn snapshot(kind: SchemeKind) -> String {
+    let (n, m) = size_for(kind);
+    let (s, hash) = healthy_run(kind);
     let (tot, steps) = s.totals();
     format!(
         "{kind} n={n} m={m} steps={steps} req={} phases={} cycles={} \
@@ -75,8 +82,9 @@ fn snapshot(kind: SchemeKind) -> String {
     )
 }
 
-/// One faulty scheme's snapshot: the full `FaultReport` JSON plus the
-/// read hash (the JSON is what PR 2 promised stays byte-identical).
+/// One faulty scheme's snapshot: the full `FaultReport` JSON, pinned
+/// byte-identical, plus the read hash. The slowdown baseline is the
+/// matching healthy snapshot run's phases.
 fn fault_snapshot(kind: SchemeKind) -> String {
     let (n, m) = size_for(kind);
     let plan = FaultPlan::modules(0.125)
@@ -90,9 +98,10 @@ fn fault_snapshot(kind: SchemeKind) -> String {
         .build()
         .expect("golden fault regimes are feasible");
     let hash = drive(&mut s, n, m);
+    let healthy_phases = healthy_run(kind).0.totals().0.phases;
     format!(
         "readhash={hash:016x} {}",
-        s.report().to_json(kind.name(), 0.125)
+        s.report().to_json(kind.name(), 0.125, healthy_phases)
     )
 }
 
