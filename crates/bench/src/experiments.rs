@@ -1263,7 +1263,7 @@ pub mod throughput {
 pub mod serve {
     use super::*;
     use cr_core::SchemeKind;
-    use cr_serve::{Service, ServiceConfig, SessionSpec, WorkloadSpec};
+    use cr_serve::{Service, ServiceApi, ServiceConfig, SessionSpec, WorkloadSpec};
     use std::time::Instant;
 
     /// Per-session machine size: small sessions are the serving workload
@@ -1359,7 +1359,7 @@ pub mod serve {
     fn measure(kind: SchemeKind, shards: usize, sessions: usize, seed: u64) -> ServeRow {
         let service =
             Service::start(ServiceConfig::with_shards(shards)).expect("spawn shard workers");
-        let h = service.handle();
+        let mut h = service.handle();
         let sids: Vec<u64> = (0..sessions)
             .map(|i| {
                 h.open(
@@ -1525,8 +1525,8 @@ pub mod verify_overhead {
     use super::*;
     use cr_core::SchemeKind;
     use cr_serve::{
-        Service, ServiceConfig, Session, SessionSpec, SharedHistogram, SimClock, Tick, VerifyMode,
-        WorkloadSpec,
+        Service, ServiceApi, ServiceConfig, Session, SessionSpec, SharedHistogram, SimClock, Tick,
+        VerifyMode, WorkloadSpec,
     };
     use std::time::Instant;
 
@@ -1646,7 +1646,7 @@ pub mod verify_overhead {
         let (shards, sessions) = point(ctx);
         let service =
             Service::start(ServiceConfig::with_shards(shards)).expect("spawn shard workers");
-        let h = service.handle();
+        let mut h = service.handle();
         let sids: Vec<u64> = (0..sessions)
             .map(|i| {
                 h.open(

@@ -1,7 +1,7 @@
 //! [`PreparedMatrix`]: a matrix pre-expanded into nibble-product tables
 //! for repeated matrix–vector products against *changing* vectors.
 //!
-//! [`MulTable`](crate::MulTable) amortizes table construction over one
+//! [`MulTable`] amortizes table construction over one
 //! slice; a decode matrix is reused across millions of products, so here
 //! the whole matrix is expanded once at construction. Layout is
 //! *chunk-major*: output rows are grouped eight at a time (one 128-bit

@@ -24,7 +24,7 @@ use simrng::DetHashMap;
 ///
 /// Sizing: the healthy store touches at most `d + 1` distinct sets and a
 /// faulted one a few more, so the table effectively never fills. The
-/// [`CACHE_CAP`] clear-on-overflow bound only guards pathological
+/// `CACHE_CAP` clear-on-overflow bound only guards pathological
 /// callers (adversarial quorum churn); eviction can never change a
 /// decode result, only its cost. Share indices `≥ 128` fall back to the
 /// uncached inversion path (they cannot occur with `d = Θ(log n)`).
@@ -193,7 +193,7 @@ impl IdaCode {
     ///
     /// The cache is keyed by the *set* of the first `b` share indices, so
     /// the quorum is canonicalized by sorting those `b` pairs by index
-    /// before decoding. The recovered data is exactly [`decode`]'s:
+    /// before decoding. The recovered data is exactly [`decode`](Self::decode)'s:
     /// permuting the selected rows permutes the inverse identically
     /// (`(PS)⁻¹(Pv) = S⁻¹v`), and GF(2¹⁶) arithmetic is exact.
     pub fn decode_into(
@@ -218,7 +218,7 @@ impl IdaCode {
     /// read path's shortcut: one variable needs 4 of the block's `b`
     /// symbols, and the prepared inverse can produce exactly those rows.
     /// Results are bit-identical to the corresponding slice of
-    /// [`decode_into`]'s output; returns `false` if fewer than `b` shares
+    /// [`decode_into`](Self::decode_into)'s output; returns `false` if fewer than `b` shares
     /// are provided.
     // lint: hot
     pub fn decode_rows_into(

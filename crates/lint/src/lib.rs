@@ -20,8 +20,8 @@
 //! * **Runtime seam** (`no-ambient-runtime`) — server modules outside
 //!   `runtime.rs` must not touch `std::thread`, `sync_channel`, or
 //!   `recv_timeout` directly; spawning, sleeping, and channels go
-//!   through `crate::runtime`, which is what lets `cr-sim` run the
-//!   whole service single-threaded under virtual time.
+//!   through `crate::runtime`, so the service's whole concurrency
+//!   surface is one file to audit.
 //!
 //! Escapes are per-line and self-documenting:
 //! `// lint: allow(<rule>, <reason>)`. Test code (`#[test]`,

@@ -470,8 +470,8 @@ fn panic_rules(code: &[&Token], i: usize, out: &mut Vec<(usize, &'static str, St
 
 /// Runtime-seam rules at position `i`: server modules must not reach for
 /// OS threads or raw mpsc channels directly — spawning, sleeping, and
-/// bounded channels all go through `crate::runtime`, which is what lets
-/// `cr-sim` drive the same code single-threaded under virtual time.
+/// bounded channels all go through `crate::runtime`, so the service's
+/// whole concurrency surface is one file to audit.
 fn runtime_rules(code: &[&Token], i: usize, out: &mut Vec<(usize, &'static str, String)>) {
     let t = code[i];
     if t.kind != TokKind::Ident {
@@ -490,7 +490,7 @@ fn runtime_rules(code: &[&Token], i: usize, out: &mut Vec<(usize, &'static str, 
                 out,
                 t,
                 "no-ambient-runtime",
-                "`std::thread` bypasses the runtime seam; spawn/sleep through a `Runtime`"
+                "`std::thread` bypasses the runtime seam; use `crate::runtime::{spawn, sleep}`"
                     .to_string(),
             )
         }

@@ -7,7 +7,7 @@
 //! * [`store::ReplicatedStore`] — the copies themselves: `(value,
 //!   timestamp)` pairs with quorum writes and majority (max-timestamp)
 //!   reads;
-//! * [`expansion::*`] — empirical verification of the expansion property
+//! * [`expansion`] — empirical verification of the expansion property
 //!   the protocols rely on (Lemma 1 / Lemma 2);
 //! * [`cluster::Clusters`] — the protocols' processor clusters of size
 //!   `2c−1`.

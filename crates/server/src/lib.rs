@@ -16,7 +16,9 @@
 //! Three entry points, one service:
 //!
 //! * [`Service`] / [`ServiceHandle`] — the in-process API (what tests and
-//!   the E16 experiment use; no socket in the loop);
+//!   the E16 experiment use; no socket in the loop), whose verbs are the
+//!   provided methods of [`ServiceApi`], written once for this threaded
+//!   driver and `cr-sim`'s single-threaded one;
 //! * [`tcp::Server`] — the newline-framed TCP front end
 //!   (`repro serve`);
 //! * [`protocol`] — the shared frame grammar (`OPEN`/`STEP`/`STEPN`/
@@ -35,7 +37,7 @@
 //! and as a per-shard summary by `INFO`) and
 //! into a fixed-capacity ring of structured trace events stamped with
 //! [`SimClock`] ticks (dumped as JSONL by `EVENTS` /
-//! [`ServiceHandle::events`]). Under a manual clock both surfaces are
+//! [`ServiceApi::events`]). Under a manual clock both surfaces are
 //! deterministic: same seed, same bytes, at any shard count.
 //!
 //! Verification (DESIGN.md §12) turns the trace from reproducible into
@@ -47,11 +49,11 @@
 //! truncations through `METRICS`.
 //!
 //! ```
-//! use cr_serve::{Service, ServiceConfig, SessionSpec, WorkloadSpec};
+//! use cr_serve::{Service, ServiceApi, ServiceConfig, SessionSpec, WorkloadSpec};
 //! use cr_core::SchemeKind;
 //!
 //! let service = Service::start(ServiceConfig::with_shards(2)).expect("spawn shard workers");
-//! let h = service.handle();
+//! let mut h = service.handle();
 //! let s = h.open(SessionSpec::new(8, 64, SchemeKind::HpDmmpc).seed(7)).unwrap();
 //! let sum = h.step(s.sid, WorkloadSpec::Uniform, 5).unwrap();
 //! assert_eq!(sum.executed, 5);
@@ -77,7 +79,7 @@ pub use cr_core::clock::{SimClock, Tick};
 pub use cr_obs::{Event, EventKind, Registry, SharedHistogram};
 pub use cr_verify::{Coverage, VerifyMode, VerifyReport, Violation, ViolationKind};
 pub use error::ServeError;
-pub use runtime::{chan, ChanRx, ChanTx, Runtime, TaskHandle, ThreadRuntime};
+pub use runtime::{chan, ChanRx, ChanTx, TaskHandle};
 pub use service::{
     build_cores, BatchStepSummary, Service, ServiceApi, ServiceConfig, ServiceHandle,
     DEFAULT_SWEEP_EVERY,
@@ -87,6 +89,6 @@ pub use session::{
     MAX_SESSION_M, MAX_SESSION_N, MAX_STEP_BATCH,
 };
 pub use shard::{
-    OpenInfo, Reply, ReplyTx, ShardCmd, ShardCore, TraceInfo, VerifyInfo, VerifySummary,
-    DRAIN_BURST, EVENTS_CAPACITY, QUEUE_CAPACITY,
+    OpenInfo, Reply, ShardCmd, ShardCore, TraceInfo, VerifyInfo, VerifySummary, DRAIN_BURST,
+    EVENTS_CAPACITY, QUEUE_CAPACITY,
 };

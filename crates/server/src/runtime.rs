@@ -1,60 +1,30 @@
 //! The runtime seam: the one module where OS threads, channels, and
-//! real sleeps enter the serving layer (DESIGN.md §13).
+//! real sleeps enter the serving layer (DESIGN.md §8).
 //!
 //! Everything concurrent in `cr-serve` — shard workers, the TCP accept
-//! loop, connection threads, the sweep-timer wait — goes through the
-//! [`Runtime`] trait (spawn/sleep/now) and the [`chan`] transport
-//! instead of calling `std::thread` or `std::sync::mpsc` directly.
-//! That buys the same two things `cr_core::clock` bought for time:
+//! loop, connection threads, the accept loop's poll wait — goes through
+//! [`spawn`], [`sleep`], and the [`chan`] transport instead of calling
+//! `std::thread` or `std::sync::mpsc` directly. `cr-lint`'s
+//! `no-ambient-runtime` rule bans `thread::spawn`, `sync_channel`, and
+//! `recv_timeout` in every other `crates/server` module, so a review of
+//! the service's concurrency surface reads one file.
 //!
-//! * **Auditability.** `cr-lint`'s `no-ambient-runtime` rule bans
-//!   `thread::spawn`, `sync_channel`, and `recv_timeout` in every other
-//!   `crates/server` module, so a review of the service's concurrency
-//!   surface reads one file.
-//! * **Virtualizability.** [`ThreadRuntime`] is the production
-//!   implementation (real threads, real timed waits) and is
-//!   behavior-identical to the pre-seam code. `cr-sim` drives the very
-//!   same [`crate::shard::ShardCore`] state machines from a
-//!   single-threaded executor on virtual time instead — same service
-//!   logic, deterministic interleaving, replayable from a seed.
+//! Nothing here is needed to *simulate* the service: shard behavior
+//! lives in sans-IO [`crate::shard::ShardCore`]s that take a command and
+//! return its reply, so `cr-sim` drives them from a single-threaded
+//! executor on virtual time without any of this module.
 //!
 //! The channel wrappers are thin newtypes over `std::sync::mpsc`'s
 //! bounded channels: producers block when a queue is full (that is the
 //! service's backpressure), and the timed receive is named `recv_for`
 //! so call sites do not trip the lint's `recv_timeout` ban.
 
-use cr_core::clock::{SimClock, Tick};
 // The sanctioned ambient-runtime imports: every other server module
 // goes through this seam (enforced by cr-lint's no-ambient-runtime).
 use std::sync::mpsc;
 use std::time::Duration;
 
 use crate::error::ServeError;
-
-/// What the serving layer needs from its host: task spawning, sleeping,
-/// and time. Production uses [`ThreadRuntime`]; `cr-sim` implements the
-/// same trait over a single-threaded executor with virtual time (its
-/// `spawn` refuses — the simulator schedules state machines itself).
-pub trait Runtime {
-    /// Current time on this runtime's clock.
-    fn now(&self) -> Tick;
-
-    /// The clock itself (shared with spawned components so timestamps,
-    /// TTL decisions, and event ticks stay coherent).
-    fn clock(&self) -> &SimClock;
-
-    /// Block the calling task for `d`.
-    fn sleep(&self, d: Duration);
-
-    /// Run `f` concurrently under `name`. Errors surface as
-    /// [`ServeError::Spawn`] — a service must degrade, not panic, when
-    /// the host refuses a task.
-    fn spawn(
-        &self,
-        name: &str,
-        f: Box<dyn FnOnce() + Send + 'static>,
-    ) -> Result<TaskHandle, ServeError>;
-}
 
 /// A handle to one spawned task; joining waits for it to finish.
 #[derive(Debug)]
@@ -70,51 +40,20 @@ impl TaskHandle {
     }
 }
 
-/// The production runtime: OS threads, real sleeps, and whatever clock
-/// the service was configured with (real by default, manual in
-/// virtual-time tests — the clock and the scheduler are independent
-/// seams, and the pre-seam service had exactly this split).
-#[derive(Debug, Clone)]
-pub struct ThreadRuntime {
-    clock: SimClock,
+/// Run `f` on a new OS thread named `name`. Errors surface as
+/// [`ServeError::Spawn`] — a service must degrade, not panic, when the
+/// host refuses a thread.
+pub fn spawn(name: &str, f: impl FnOnce() + Send + 'static) -> Result<TaskHandle, ServeError> {
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(f)
+        .map(|h| TaskHandle(Some(h)))
+        .map_err(|e| ServeError::Spawn(format!("{name}: {e}")))
 }
 
-impl ThreadRuntime {
-    /// A runtime reading `clock`.
-    pub fn new(clock: SimClock) -> ThreadRuntime {
-        ThreadRuntime { clock }
-    }
-
-    /// A runtime on real (monotonic) time.
-    pub fn real() -> ThreadRuntime {
-        ThreadRuntime::new(SimClock::monotonic())
-    }
-}
-
-impl Runtime for ThreadRuntime {
-    fn now(&self) -> Tick {
-        self.clock.now()
-    }
-
-    fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-
-    fn spawn(
-        &self,
-        name: &str,
-        f: Box<dyn FnOnce() + Send + 'static>,
-    ) -> Result<TaskHandle, ServeError> {
-        std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(f)
-            .map(|h| TaskHandle(Some(h)))
-            .map_err(|e| ServeError::Spawn(format!("{name}: {e}")))
-    }
+/// Block the calling thread for `d`.
+pub fn sleep(d: Duration) {
+    std::thread::sleep(d);
 }
 
 /// The send side of a bounded command channel. `Clone` so pipelined
@@ -176,7 +115,7 @@ impl<T> ChanRx<T> {
 
 /// A bounded channel holding at most `capacity` in-flight values
 /// (clamped to at least one so a reply channel's first send never
-/// blocks — the property `cr-sim`'s single-threaded calls rely on).
+/// blocks).
 pub fn chan<T>(capacity: usize) -> (ChanTx<T>, ChanRx<T>) {
     let (tx, rx) = mpsc::sync_channel(capacity.max(1));
     (ChanTx(tx), ChanRx(rx))
@@ -211,14 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_runtime_spawns_and_joins() {
-        let rt = ThreadRuntime::real();
+    fn spawn_runs_and_joins() {
         let (tx, rx) = chan(1);
-        let h = rt
-            .spawn("rt-test", Box::new(move || tx.send(42u64).unwrap()))
-            .unwrap();
+        let h = spawn("rt-test", move || tx.send(42u64).unwrap()).unwrap();
         assert_eq!(rx.recv().unwrap(), 42);
         h.join();
-        assert!(rt.now() >= Tick::ZERO);
     }
 }

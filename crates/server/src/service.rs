@@ -1,19 +1,29 @@
-//! The session service: N shards, hash routing, and the in-process
-//! [`ServiceHandle`] API that tests, benches, and the TCP front end all
-//! share.
+//! The session service: N shards, hash routing, and the [`ServiceApi`]
+//! verbs that tests, benches, the TCP front end, and `cr-sim` all share.
 //!
-//! Sessions are hash-routed: session ids come from one global counter and
+//! Sessions are hash-routed: session ids come from one counter and
 //! `shard_of(sid) = mix64(sid) mod shards`, so placement is uniform
-//! without coordination and any holder of an id can find its shard. The
-//! handle is `Clone` — every load-generator thread and TCP connection
-//! clones its own set of queue senders and talks to the shards directly;
-//! there is no central dispatcher thread to bottleneck on.
+//! without coordination and any holder of an id can find its shard.
 //!
-//! The service also owns the observability read side: one `cr-obs`
+//! [`ServiceApi`] is split along that line. A driver supplies only the
+//! transport — its shard count, the next session id, a `call` that
+//! delivers one [`ShardCmd`] to one shard and returns the core's
+//! [`Reply`], and the metrics registry — and every verb (`open`, `step`,
+//! `stats`, `trace`, `verify`, `verify_all`, `close`, `events`) plus the
+//! routing is written once, as a provided method. Two drivers implement
+//! it: the threaded [`ServiceHandle`] here, whose `call` hands the
+//! command to the owning shard's worker queue with a private reply
+//! channel, and `cr-sim`'s single-threaded `SimService`, whose `call`
+//! runs the core inline.
+//!
+//! The handle is `Clone` — every load-generator thread and TCP
+//! connection clones its own set of queue senders and talks to the
+//! shards directly; there is no central dispatcher thread to bottleneck
+//! on. The service also owns the observability read side: one `cr-obs`
 //! [`Registry`] whose per-shard handles were dealt to the workers at
 //! start, read by [`ServiceHandle::registry`] (the `INFO` and `METRICS`
 //! verbs render it), and the cross-shard event merge behind
-//! [`ServiceHandle::events`] (the `EVENTS` verb).
+//! [`ServiceApi::events`] (the `EVENTS` verb).
 
 use cr_core::clock::SimClock;
 use cr_obs::{Event, Gauge, Registry, RegistryBuilder};
@@ -22,10 +32,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::ServeError;
-use crate::runtime::{chan, ChanTx, Runtime, TaskHandle, ThreadRuntime};
+use crate::runtime::{chan, ChanTx, TaskHandle};
 use crate::session::{SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 use crate::shard::{
-    spawn_shard, OpenInfo, Reply, ShardCmd, ShardCore, ShardObs, TraceInfo, VerifyInfo,
+    spawn_shard, Job, OpenInfo, Reply, ShardCmd, ShardCore, ShardObs, TraceInfo, VerifyInfo,
     VerifySummary, EVENTS_CAPACITY, QUEUE_CAPACITY,
 };
 
@@ -76,7 +86,7 @@ impl ServiceConfig {
 }
 
 struct ShardLink {
-    tx: ChanTx<ShardCmd>,
+    tx: ChanTx<Job>,
     /// The same gauge the shard's worker decrements on dequeue.
     queue_depth: Gauge,
 }
@@ -106,7 +116,9 @@ pub struct BatchStepSummary {
     pub exhausted: u64,
 }
 
-/// The cheap, cloneable client face of the service.
+/// The cheap, cloneable client face of the threaded service: its verbs
+/// are [`ServiceApi`]'s provided methods, plus the pipelined
+/// [`ServiceHandle::step_many`].
 #[derive(Clone)]
 pub struct ServiceHandle {
     shards: Arc<Vec<ShardLink>>,
@@ -123,9 +135,9 @@ pub struct Service {
 
 /// Build `cfg.shards` fresh [`ShardCore`]s plus the frozen [`Registry`]
 /// that reads the same metric cells the cores record into. This is the
-/// construction path both drivers share: [`Service::start`] wraps each
-/// core in a runtime task with a command queue, while `cr-sim` owns the
-/// cores directly and drives them from its deterministic executor.
+/// construction path both drivers share: [`Service::start`] runs each
+/// core on a worker thread behind a command queue, while `cr-sim` owns
+/// the cores directly and drives them from its deterministic executor.
 pub fn build_cores(cfg: &ServiceConfig) -> (Vec<ShardCore>, Registry) {
     let shards = cfg.shards.max(1);
     // Declare every metric family up front; each call hands back one
@@ -238,25 +250,18 @@ pub fn build_cores(cfg: &ServiceConfig) -> (Vec<ShardCore>, Registry) {
 }
 
 impl Service {
-    /// Start the shard workers on the production [`ThreadRuntime`]
-    /// reading `cfg.clock`. Fails with [`ServeError::Spawn`] if the OS
-    /// refuses a worker thread; already-started workers are shut down
-    /// cleanly when the partially built `Service` drops.
+    /// Start one worker thread per shard, each reading `cfg.clock`.
+    /// Fails with [`ServeError::Spawn`] if the OS refuses a worker
+    /// thread; already-started workers exit cleanly when the error
+    /// return drops their queue senders.
     pub fn start(cfg: ServiceConfig) -> Result<Service, ServeError> {
-        let runtime = ThreadRuntime::new(cfg.clock.clone());
-        Service::start_on(cfg, &runtime)
-    }
-
-    /// Start the shard workers on an explicit [`Runtime`] — the seam
-    /// `cr-sim` and future hosts plug into.
-    pub fn start_on(cfg: ServiceConfig, runtime: &dyn Runtime) -> Result<Service, ServeError> {
         let (cores, registry) = build_cores(&cfg);
         let mut links = Vec::with_capacity(cores.len());
         let mut workers = Vec::with_capacity(cores.len());
         for core in cores {
             let (tx, rx) = chan(cfg.queue_capacity.max(1));
             let link_depth = core.queue_depth_gauge();
-            workers.push(spawn_shard(runtime, core, rx, cfg.sweep_every)?);
+            workers.push(spawn_shard(core, rx, cfg.sweep_every)?);
             links.push(ShardLink {
                 tx,
                 queue_depth: link_depth,
@@ -280,7 +285,7 @@ impl Service {
     /// Stop every shard worker and join them.
     pub fn shutdown(mut self) {
         for link in self.handle.shards.iter() {
-            let _ = link.tx.send(ShardCmd::Shutdown);
+            let _ = link.tx.send(None);
         }
         for w in self.workers.drain(..) {
             w.join();
@@ -289,57 +294,16 @@ impl Service {
 }
 
 impl ServiceHandle {
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Which shard owns a session id.
     pub fn shard_of(&self, sid: u64) -> usize {
-        (simrng::mix64(sid) % self.shards.len() as u64) as usize
+        ServiceApi::shard_of(self, sid)
     }
 
-    fn call(
-        &self,
-        shard: usize,
-        make: impl FnOnce(super::shard::ReplyTx) -> ShardCmd,
-    ) -> Result<Reply, ServeError> {
-        let link = self.shards.get(shard).ok_or(ServeError::ShardDown)?;
-        let (reply_tx, reply_rx) = chan(1);
-        link.queue_depth.add(1);
-        if link.tx.send(make(reply_tx)).is_err() {
-            link.queue_depth.sub(1);
-            return Err(ServeError::ShardDown);
-        }
-        reply_rx.recv().map_err(|_| ServeError::ShardDown)?
-    }
-
-    /// Open a session; returns its id and built-scheme facts.
-    pub fn open(&self, spec: SessionSpec) -> Result<OpenInfo, ServeError> {
-        let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard_of(sid);
-        match self.call(shard, |reply| ShardCmd::Open { sid, spec, reply })? {
-            Reply::Open(info) => Ok(info),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    /// Drive `count` steps of `workload` through a session.
-    pub fn step(
-        &self,
-        sid: u64,
-        workload: WorkloadSpec,
-        count: u64,
-    ) -> Result<StepSummary, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Step {
-            sid,
-            workload,
-            count,
-            reply,
-        })? {
-            Reply::Step(sum) => Ok(sum),
-            _ => Err(ServeError::ShardDown),
-        }
+    /// The live metrics registry: the service's one stats surface
+    /// (`INFO` and `METRICS` render it; typed reads need no text
+    /// parsing).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// Drive `count` steps of `workload` through every session in `sids`,
@@ -371,9 +335,9 @@ impl ServiceHandle {
                 sid,
                 workload: workload.clone(), // lint: allow(hot-alloc, one spec clone per command - amortised over the batch)
                 count,
-                reply: reply_tx.clone(), // lint: allow(hot-alloc, channel-handle refcount bump - no heap allocation)
             };
-            if link.tx.send(cmd).is_err() {
+            let job = (cmd, reply_tx.clone()); // lint: allow(hot-alloc, channel-handle refcount bump - no heap allocation)
+            if link.tx.send(Some(job)).is_err() {
                 link.queue_depth.sub(1);
                 return Err(ServeError::ShardDown);
             }
@@ -398,73 +362,88 @@ impl ServiceHandle {
         }
         Ok(sum)
     }
+}
 
-    /// Aggregate session counters.
-    pub fn stats(&self, sid: u64) -> Result<SessionStats, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Stats { sid, reply })? {
+/// The service surface every client face executes against — the wire
+/// protocol ([`crate::protocol::execute`]), in-process callers, and
+/// `cr-sim`'s simulated clients.
+///
+/// A driver implements the four transport methods; every verb and the
+/// shard routing are provided, so the threaded [`ServiceHandle`] and
+/// `cr-sim`'s single-threaded `SimService` run the *identical* verb
+/// code against the same [`ShardCore`]s, and only the delivery of a
+/// command differs. Verbs take `&mut self`: the simulated service
+/// mutates its cores in place, while the thread-backed handle simply
+/// ignores the exclusivity (its state is behind `Arc`s).
+pub trait ServiceApi {
+    /// Shard count (at least one).
+    fn shards(&self) -> usize;
+
+    /// Allocate a fresh session id.
+    fn next_sid(&mut self) -> u64;
+
+    /// Deliver one command to `shard` and return the core's reply
+    /// ([`ServeError::ShardDown`] when the shard cannot answer).
+    fn call(&mut self, shard: usize, cmd: ShardCmd) -> Result<Reply, ServeError>;
+
+    /// The metrics registry (`INFO`, `METRICS`).
+    fn registry(&self) -> &Registry;
+
+    /// Which shard owns a session id.
+    fn shard_of(&self, sid: u64) -> usize {
+        (simrng::mix64(sid) % self.shards() as u64) as usize
+    }
+
+    /// Open a session (`OPEN`); returns its id and built-scheme facts.
+    fn open(&mut self, spec: SessionSpec) -> Result<OpenInfo, ServeError> {
+        let sid = self.next_sid();
+        match self.call(self.shard_of(sid), ShardCmd::Open { sid, spec })? {
+            Reply::Open(info) => Ok(info),
+            _ => Err(ServeError::ShardDown),
+        }
+    }
+
+    /// Drive `count` steps of `workload` through a session
+    /// (`STEP`/`STEPN`).
+    fn step(
+        &mut self,
+        sid: u64,
+        workload: WorkloadSpec,
+        count: u64,
+    ) -> Result<StepSummary, ServeError> {
+        let cmd = ShardCmd::Step {
+            sid,
+            workload,
+            count,
+        };
+        match self.call(self.shard_of(sid), cmd)? {
+            Reply::Step(sum) => Ok(sum),
+            _ => Err(ServeError::ShardDown),
+        }
+    }
+
+    /// Aggregate session counters (`STATS`).
+    fn stats(&mut self, sid: u64) -> Result<SessionStats, ServeError> {
+        match self.call(self.shard_of(sid), ShardCmd::Stats { sid })? {
             Reply::Stats(st) => Ok(st),
             _ => Err(ServeError::ShardDown),
         }
     }
 
-    /// The session's running trace hash.
-    pub fn trace(&self, sid: u64) -> Result<TraceInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Trace { sid, reply })? {
+    /// The session's running trace hash (`TRACE`).
+    fn trace(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
+        match self.call(self.shard_of(sid), ShardCmd::Trace { sid })? {
             Reply::Trace(t) => Ok(t),
             _ => Err(ServeError::ShardDown),
         }
-    }
-
-    /// Close a session; returns its final trace.
-    pub fn close(&self, sid: u64) -> Result<TraceInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Close { sid, reply })? {
-            Reply::Close(t) => Ok(t),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    /// The live metrics registry: the service's one stats surface
-    /// (`INFO` and `METRICS` render it; typed reads need no text
-    /// parsing).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Structured trace events: one session's (`Some(sid)`, served by
-    /// its owning shard) or the whole service's (`None`: all shards,
-    /// stably sorted by sid). A session's events live on exactly one
-    /// shard in execution order, so the per-sid stream — and therefore
-    /// the stable-sorted merge — is shard-count-invariant.
-    pub fn events(&self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {
-        if let Some(s) = sid {
-            return match self.call(self.shard_of(s), |reply| ShardCmd::Events {
-                sid: Some(s),
-                reply,
-            })? {
-                Reply::Events(evs) => Ok(evs),
-                _ => Err(ServeError::ShardDown),
-            };
-        }
-        let mut all = Vec::new();
-        for shard in 0..self.shards.len() {
-            match self.call(shard, |reply| ShardCmd::Events { sid: None, reply })? {
-                Reply::Events(evs) => all.extend(evs),
-                _ => return Err(ServeError::ShardDown),
-            }
-        }
-        all.sort_by_key(|e| e.sid);
-        Ok(all)
     }
 
     /// One session's PRAM-consistency verdict (`VERIFY <sid>`), served
     /// by its owning shard. The reply carries no shard- or time-derived
     /// fields, so under a manual clock it is byte-identical at any
     /// shard count — the cross-shard determinism test pins this.
-    pub fn verify(&self, sid: u64) -> Result<VerifyInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Verify {
-            sid: Some(sid),
-            reply,
-        })? {
+    fn verify(&mut self, sid: u64) -> Result<VerifyInfo, ServeError> {
+        match self.call(self.shard_of(sid), ShardCmd::Verify { sid: Some(sid) })? {
             Reply::Verify(info) => Ok(info),
             _ => Err(ServeError::ShardDown),
         }
@@ -473,84 +452,75 @@ impl ServiceHandle {
     /// Service-wide self-check (bare `VERIFY`): every shard summarizes
     /// the sessions it owns, merged here. The CI verify leg asserts
     /// `violations=0` on this without knowing any session id.
-    pub fn verify_all(&self) -> Result<VerifySummary, ServeError> {
+    fn verify_all(&mut self) -> Result<VerifySummary, ServeError> {
         let mut sum = VerifySummary::default();
-        for shard in 0..self.shards.len() {
-            match self.call(shard, |reply| ShardCmd::Verify { sid: None, reply })? {
+        for shard in 0..self.shards() {
+            match self.call(shard, ShardCmd::Verify { sid: None })? {
                 Reply::VerifySummary(s) => sum.merge(&s),
                 _ => return Err(ServeError::ShardDown),
             }
         }
         Ok(sum)
     }
-}
 
-/// The service surface the wire protocol executes against
-/// ([`crate::protocol::execute`]): everything a `OPEN`/`STEP`/…/`EVENTS`
-/// frame can reach, behind one trait so the TCP front end (backed by a
-/// threaded [`ServiceHandle`]) and `cr-sim`'s single-threaded simulated
-/// service run the *identical* parser, executor, and reply rendering.
-///
-/// Methods take `&mut self`: a simulated service mutates its cores
-/// in place, while the thread-backed handle simply ignores the
-/// exclusivity (its state is behind `Arc`s).
-pub trait ServiceApi {
-    /// Open a session (`OPEN`).
-    fn open(&mut self, spec: SessionSpec) -> Result<OpenInfo, ServeError>;
-    /// Step a session (`STEP`/`STEPN`).
-    fn step(
-        &mut self,
-        sid: u64,
-        workload: WorkloadSpec,
-        count: u64,
-    ) -> Result<StepSummary, ServeError>;
-    /// Aggregate session counters (`STATS`).
-    fn stats(&mut self, sid: u64) -> Result<SessionStats, ServeError>;
-    /// The running trace hash (`TRACE`).
-    fn trace(&mut self, sid: u64) -> Result<TraceInfo, ServeError>;
-    /// One session's PRAM verdict (`VERIFY <sid>`).
-    fn verify(&mut self, sid: u64) -> Result<VerifyInfo, ServeError>;
-    /// The service-wide self-check (bare `VERIFY`).
-    fn verify_all(&mut self) -> Result<VerifySummary, ServeError>;
-    /// Close a session (`CLOSE`).
-    fn close(&mut self, sid: u64) -> Result<TraceInfo, ServeError>;
-    /// The metrics registry (`INFO`, `METRICS`).
-    fn registry(&self) -> &Registry;
-    /// Structured trace events (`EVENTS [sid]`).
-    fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError>;
+    /// Close a session (`CLOSE`); returns its final trace.
+    fn close(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
+        match self.call(self.shard_of(sid), ShardCmd::Close { sid })? {
+            Reply::Close(t) => Ok(t),
+            _ => Err(ServeError::ShardDown),
+        }
+    }
+
+    /// Structured trace events (`EVENTS [sid]`): one session's
+    /// (`Some(sid)`, served by its owning shard) or the whole service's
+    /// (`None`: all shards, stably sorted by sid). A session's events
+    /// live on exactly one shard in execution order, so the per-sid
+    /// stream — and therefore the stable-sorted merge — is
+    /// shard-count-invariant.
+    fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {
+        let shards = match sid {
+            Some(s) => {
+                let home = self.shard_of(s);
+                home..home + 1
+            }
+            None => 0..self.shards(),
+        };
+        let mut all = Vec::new();
+        for shard in shards {
+            match self.call(shard, ShardCmd::Events { sid })? {
+                Reply::Events(evs) => all.extend(evs),
+                _ => return Err(ServeError::ShardDown),
+            }
+        }
+        all.sort_by_key(|e| e.sid);
+        Ok(all)
+    }
 }
 
 impl ServiceApi for ServiceHandle {
-    fn open(&mut self, spec: SessionSpec) -> Result<OpenInfo, ServeError> {
-        ServiceHandle::open(self, spec)
+    fn shards(&self) -> usize {
+        self.shards.len()
     }
-    fn step(
-        &mut self,
-        sid: u64,
-        workload: WorkloadSpec,
-        count: u64,
-    ) -> Result<StepSummary, ServeError> {
-        ServiceHandle::step(self, sid, workload, count)
+
+    fn next_sid(&mut self) -> u64 {
+        self.next_sid.fetch_add(1, Ordering::Relaxed)
     }
-    fn stats(&mut self, sid: u64) -> Result<SessionStats, ServeError> {
-        ServiceHandle::stats(self, sid)
+
+    /// Enqueue `cmd` on the owning shard's worker queue (blocking while
+    /// it is full) with a private capacity-1 reply channel, then wait
+    /// for the worker's reply.
+    fn call(&mut self, shard: usize, cmd: ShardCmd) -> Result<Reply, ServeError> {
+        let link = self.shards.get(shard).ok_or(ServeError::ShardDown)?;
+        let (reply_tx, reply_rx) = chan(1);
+        link.queue_depth.add(1);
+        if link.tx.send(Some((cmd, reply_tx))).is_err() {
+            link.queue_depth.sub(1);
+            return Err(ServeError::ShardDown);
+        }
+        reply_rx.recv().map_err(|_| ServeError::ShardDown)?
     }
-    fn trace(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
-        ServiceHandle::trace(self, sid)
-    }
-    fn verify(&mut self, sid: u64) -> Result<VerifyInfo, ServeError> {
-        ServiceHandle::verify(self, sid)
-    }
-    fn verify_all(&mut self) -> Result<VerifySummary, ServeError> {
-        ServiceHandle::verify_all(self)
-    }
-    fn close(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
-        ServiceHandle::close(self, sid)
-    }
+
     fn registry(&self) -> &Registry {
         ServiceHandle::registry(self)
-    }
-    fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {
-        ServiceHandle::events(self, sid)
     }
 }

@@ -1,30 +1,33 @@
 //! One shard: a [`ShardCore`] state machine owning a disjoint set of
-//! sessions, fed by a bounded command queue.
+//! sessions.
 //!
 //! The service's concurrency model is the classic sharded event loop (one
 //! driver, one queue, no locks around session state — the same shape as a
 //! sharded Redis actor): a session lives on exactly one shard, so its
 //! scheme is driven single-threaded and stays deterministic, while shards
-//! run in parallel. Backpressure is structural: the queue is a bounded
-//! [`crate::runtime::chan`] with fixed capacity, so producers block (TCP
-//! connections, load generators) instead of the queue growing without
-//! bound; the queue-depth gauge is exported per shard.
+//! run in parallel. Backpressure is structural: the threaded driver's
+//! queue is a bounded [`crate::runtime::chan`] with fixed capacity, so
+//! producers block (TCP connections, load generators) instead of the
+//! queue growing without bound; the queue-depth gauge is exported per
+//! shard.
 //!
-//! The state machine and its driver are deliberately split (DESIGN.md
-//! §13): [`ShardCore::handle`] / [`ShardCore::sweep`] hold *all* shard
-//! behavior, while [`spawn_shard`] is a thin loop that a
-//! [`crate::runtime::Runtime`] runs on a real thread in production.
-//! `cr-sim` drives the identical cores from a single-threaded executor
-//! on virtual time — same commands, same replies, same events,
-//! deterministic interleaving.
+//! The state machine is sans-IO (DESIGN.md §13): [`ShardCore::handle`]
+//! takes a [`ShardCmd`] and *returns* its reply, and
+//! [`ShardCore::sweep`] runs the idle-TTL eviction, so all shard
+//! behavior lives here and none of it touches a channel. Drivers differ
+//! only in how commands reach a core: the threaded service runs each
+//! core on its own OS thread behind a command queue, pairing every
+//! command with a private reply channel, while `cr-sim` owns the cores
+//! and calls them inline on virtual time — same commands, same replies,
+//! same events, deterministic interleaving.
 //!
 //! Observability (DESIGN.md §10) rides the same single-threaded loop:
-//! each core owns one [`ShardObs`] bundle of preregistered `cr-obs`
-//! handles (recorded lock-free, merged by the registry on read) and one
-//! fixed-capacity [`EventRing`] of structured trace events stamped with
-//! the shard's [`SimClock`] ticks. Because a session lives on exactly one
-//! shard, its events land in one ring in execution order — the fact that
-//! makes `EVENTS <sid>` deterministic and shard-count-invariant.
+//! each core owns one bundle of preregistered `cr-obs` handles (recorded
+//! lock-free, merged by the registry on read) and one fixed-capacity
+//! [`EventRing`] of structured trace events stamped with the shard's
+//! [`SimClock`] ticks. Because a session lives on exactly one shard, its
+//! events land in one ring in execution order — the fact that makes
+//! `EVENTS <sid>` deterministic and shard-count-invariant.
 
 use cr_core::clock::{SimClock, Tick};
 use cr_obs::{Counter, Event, EventKind, EventRing, Gauge, SharedHistogram};
@@ -33,7 +36,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::error::ServeError;
-use crate::runtime::{ChanRx, ChanTx, RecvWait, Runtime, TaskHandle};
+use crate::runtime::{spawn, ChanRx, ChanTx, RecvWait, TaskHandle};
 use crate::session::{Session, SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 
 /// Per-shard command-queue capacity (bounded: this is the backpressure).
@@ -152,57 +155,50 @@ pub enum Reply {
     VerifySummary(VerifySummary),
 }
 
-/// Where a command's reply goes: one send per command, over a bounded
-/// [`crate::runtime::chan`] sized so the first send never blocks.
-pub type ReplyTx = ChanTx<Result<Reply, ServeError>>;
-
-/// The shard core's command vocabulary.
+/// The shard core's command vocabulary: one variant per shard verb.
 #[derive(Debug)]
 pub enum ShardCmd {
     Open {
         sid: u64,
         spec: SessionSpec,
-        reply: ReplyTx,
     },
     Step {
         sid: u64,
         workload: WorkloadSpec,
         count: u64,
-        reply: ReplyTx,
     },
     Stats {
         sid: u64,
-        reply: ReplyTx,
     },
     Trace {
         sid: u64,
-        reply: ReplyTx,
     },
     Close {
         sid: u64,
-        reply: ReplyTx,
     },
     Events {
         /// `Some(sid)` filters to one session; `None` dumps the ring.
         sid: Option<u64>,
-        reply: ReplyTx,
     },
     Verify {
         /// `Some(sid)` reports one session's verdict; `None` summarizes
         /// every session the shard owns.
         sid: Option<u64>,
-        reply: ReplyTx,
     },
-    Shutdown,
 }
+
+/// What a threaded shard's queue carries: a command paired with the
+/// private channel its reply goes back on, or `None` to stop the worker.
+pub(crate) type Job = Option<(ShardCmd, ChanTx<Result<Reply, ServeError>>)>;
 
 /// The complete state machine of one shard: sessions, observability
 /// handles, event ring, and clock — but no thread, queue, or timer.
 ///
-/// Production wraps a core in [`spawn_shard`]'s receive loop; `cr-sim`
-/// owns a vector of cores directly and calls [`ShardCore::handle`] /
-/// [`ShardCore::sweep`] from its deterministic executor. Both drivers
-/// see identical behavior because all of it lives here.
+/// The threaded service runs each core on its own worker thread behind
+/// a command queue; `cr-sim` owns a vector of cores directly and calls
+/// [`ShardCore::handle`] / [`ShardCore::sweep`] from its deterministic
+/// executor. Both drivers see identical behavior because all of it
+/// lives here.
 pub struct ShardCore {
     shard: usize,
     /// Ordered map: the TTL sweep and any future iteration visit
@@ -217,8 +213,9 @@ pub struct ShardCore {
     /// The service's time seam: real in production, virtual in
     /// deterministic tests and `cr-sim` (`ServiceConfig::clock`).
     clock: SimClock,
-    /// Crashed (chaos injection / operator action): the driver refuses
-    /// commands until [`ShardCore::restart`]. Never set in production.
+    /// Crashed (chaos injection / operator action): the core answers
+    /// every command with [`ServeError::ShardDown`] until
+    /// [`ShardCore::restart`]. Never set in production.
     down: bool,
 }
 
@@ -268,10 +265,11 @@ impl ShardCore {
     /// Account one dequeue: decrement the depth gauge and, when the
     /// observed depth was at or above the configured capacity, count a
     /// queue-full incident and record its event. Every driver calls
-    /// this once per command, before [`ShardCore::handle`].
+    /// this once per command, before [`ShardCore::handle`]. A crashed
+    /// core has no queue to saturate, so it only settles the gauge.
     pub fn note_dequeue(&mut self) {
         let prev = self.obs.queue_depth.sub(1);
-        if prev >= self.queue_capacity as u64 {
+        if prev >= self.queue_capacity as u64 && !self.down {
             self.obs.queue_full.inc();
             self.event(EventKind::QueueFull, 0, prev, 0, 0, 0);
         }
@@ -283,7 +281,7 @@ impl ShardCore {
     }
 
     /// Crash the shard: every live session is lost (gauge adjusted, one
-    /// `crash` event recorded) and the core refuses work until
+    /// `crash` event recorded) and the core answers `shard down` until
     /// [`ShardCore::restart`]. Returns how many sessions were lost.
     /// This is `cr-sim`'s chaos entry point; production never calls it.
     pub fn crash(&mut self) -> usize {
@@ -334,14 +332,17 @@ impl ShardCore {
         );
     }
 
-    /// Execute one command, sending its reply (if any). Returns `false`
-    /// when the command was [`ShardCmd::Shutdown`] — the driver's signal
-    /// to stop its loop.
-    pub fn handle(&mut self, cmd: ShardCmd) -> bool {
+    /// Execute one command and return its reply. A crashed core answers
+    /// every command with [`ServeError::ShardDown`], the way a dead
+    /// worker's closed queue would.
+    pub fn handle(&mut self, cmd: ShardCmd) -> Result<Reply, ServeError> {
+        if self.down {
+            return Err(ServeError::ShardDown);
+        }
         match cmd {
-            ShardCmd::Open { sid, spec, reply } => {
+            ShardCmd::Open { sid, spec } => {
                 let (n, m) = (spec.n, spec.m);
-                let out = match Session::open(spec, self.clock.now()) {
+                match Session::open(spec, self.clock.now()) {
                     Err(e) => Err(e),
                     Ok(session) => {
                         let info = OpenInfo {
@@ -358,14 +359,12 @@ impl ShardCore {
                         self.event(EventKind::Open, sid, n as u64, m as u64, scheme_idx, 0);
                         Ok(Reply::Open(info))
                     }
-                };
-                let _ = reply.send(out);
+                }
             }
             ShardCmd::Step {
                 sid,
                 workload,
                 count,
-                reply,
             } => {
                 let stepped = match self.sessions.get_mut(&sid) {
                     None => Err(ServeError::UnknownSession(sid)),
@@ -379,7 +378,7 @@ impl ShardCore {
                             other => other,
                         }),
                 };
-                let out = match stepped {
+                match stepped {
                     Err(e) => Err(e),
                     Ok(sum) => {
                         self.obs.steps.add(sum.executed);
@@ -415,59 +414,49 @@ impl ShardCore {
                         }
                         Ok(Reply::Step(sum))
                     }
-                };
-                let _ = reply.send(out);
+                }
             }
-            ShardCmd::Stats { sid, reply } => {
-                let out = match self.sessions.get_mut(&sid) {
-                    None => Err(ServeError::UnknownSession(sid)),
-                    Some(session) => {
-                        session.touch(self.clock.now());
-                        Ok(Reply::Stats(session.stats()))
-                    }
-                };
-                let _ = reply.send(out);
-            }
-            ShardCmd::Trace { sid, reply } => {
-                let out = match self.sessions.get_mut(&sid) {
-                    None => Err(ServeError::UnknownSession(sid)),
-                    Some(session) => {
-                        session.touch(self.clock.now());
-                        Ok(Reply::Trace(TraceInfo {
-                            sid,
-                            steps: session.steps(),
-                            trace: session.trace(),
-                        }))
-                    }
-                };
-                let _ = reply.send(out);
-            }
-            ShardCmd::Close { sid, reply } => {
-                let out = match self.sessions.remove(&sid) {
-                    None => Err(ServeError::UnknownSession(sid)),
-                    Some(session) => {
-                        self.obs.closed.inc();
-                        self.obs.sessions.sub(1);
-                        self.event(
-                            EventKind::Close,
-                            sid,
-                            session.steps(),
-                            session.trace(),
-                            0,
-                            0,
-                        );
-                        Ok(Reply::Close(TraceInfo {
-                            sid,
-                            steps: session.steps(),
-                            trace: session.trace(),
-                        }))
-                    }
-                };
-                let _ = reply.send(out);
-            }
-            ShardCmd::Verify { sid, reply } => {
+            ShardCmd::Stats { sid } => match self.sessions.get_mut(&sid) {
+                None => Err(ServeError::UnknownSession(sid)),
+                Some(session) => {
+                    session.touch(self.clock.now());
+                    Ok(Reply::Stats(session.stats()))
+                }
+            },
+            ShardCmd::Trace { sid } => match self.sessions.get_mut(&sid) {
+                None => Err(ServeError::UnknownSession(sid)),
+                Some(session) => {
+                    session.touch(self.clock.now());
+                    Ok(Reply::Trace(TraceInfo {
+                        sid,
+                        steps: session.steps(),
+                        trace: session.trace(),
+                    }))
+                }
+            },
+            ShardCmd::Close { sid } => match self.sessions.remove(&sid) {
+                None => Err(ServeError::UnknownSession(sid)),
+                Some(session) => {
+                    self.obs.closed.inc();
+                    self.obs.sessions.sub(1);
+                    self.event(
+                        EventKind::Close,
+                        sid,
+                        session.steps(),
+                        session.trace(),
+                        0,
+                        0,
+                    );
+                    Ok(Reply::Close(TraceInfo {
+                        sid,
+                        steps: session.steps(),
+                        trace: session.trace(),
+                    }))
+                }
+            },
+            ShardCmd::Verify { sid } => {
                 self.obs.verify_cycles.inc();
-                let out = match sid {
+                match sid {
                     Some(sid) => {
                         let now = self.clock.now();
                         let out = match self.sessions.get_mut(&sid) {
@@ -497,24 +486,19 @@ impl ShardCore {
                         }
                         Ok(Reply::VerifySummary(sum))
                     }
-                };
-                let _ = reply.send(out);
+                }
             }
-            ShardCmd::Events { sid, reply } => {
-                let events: Vec<Event> = self
-                    .ring
+            ShardCmd::Events { sid } => Ok(Reply::Events(
+                self.ring
                     .iter()
                     .filter(|e| match sid {
                         None => true,
                         Some(s) => e.sid == s,
                     })
                     .copied()
-                    .collect();
-                let _ = reply.send(Ok(Reply::Events(events)));
-            }
-            ShardCmd::Shutdown => return false,
+                    .collect(),
+            )),
         }
-        true
     }
 
     /// Evict every idle-TTL-expired session. Drivers call this on their
@@ -540,60 +524,57 @@ impl ShardCore {
     }
 }
 
-/// Run one shard core on `runtime`; returns its task handle, or the
-/// spawn error as a [`ServeError`] (a service must degrade, not panic,
-/// when the host hits a thread limit). The loop is deliberately thin:
-/// all behavior lives in [`ShardCore`], and the only scheduling here is
-/// the timed wait that doubles as the sweep timer — its cadence is the
-/// service-configured `sweep_every`, routed through the runtime seam so
-/// no real-time constant hides in the shard.
+/// Run one shard core on its own worker thread; returns its task
+/// handle, or the spawn error as a [`ServeError`] (a service must
+/// degrade, not panic, when the host hits a thread limit). The loop is
+/// deliberately thin: all behavior lives in [`ShardCore`], each command
+/// is answered on the reply channel it arrived with, and the only
+/// scheduling here is the timed wait that doubles as the sweep timer —
+/// its cadence is the service-configured `sweep_every`, so no real-time
+/// constant hides in the shard. A `None` job stops the loop.
 pub(crate) fn spawn_shard(
-    runtime: &dyn Runtime,
     mut core: ShardCore,
-    rx: ChanRx<ShardCmd>,
+    rx: ChanRx<Job>,
     sweep_every: Duration,
 ) -> Result<TaskHandle, ServeError> {
     let name = format!("cr-serve-shard-{}", core.shard());
-    runtime.spawn(
-        &name,
-        Box::new(move || {
-            let mut last_sweep = core.clock().now();
-            'serve: loop {
-                match rx.recv_for(sweep_every) {
-                    // lint: hot
-                    // One pop services a burst: after the blocking
-                    // receive lands a command, drain whatever else is
-                    // already queued (non-blocking, `DRAIN_BURST`-bounded)
-                    // before waiting again. Each command still carries —
-                    // and gets — its own reply, so pipelined clients see
-                    // one reply line per request.
-                    Ok(first) => {
-                        let mut cmd = Some(first);
-                        let mut burst = 0;
-                        while let Some(c) = cmd.take() {
-                            core.note_dequeue();
-                            if !core.handle(c) {
-                                break 'serve;
-                            }
-                            burst += 1;
-                            if burst < DRAIN_BURST {
-                                cmd = rx.try_recv();
-                            }
+    spawn(&name, move || {
+        let mut last_sweep = core.clock().now();
+        'serve: loop {
+            match rx.recv_for(sweep_every) {
+                // lint: hot
+                // One pop services a burst: after the blocking receive
+                // lands a command, drain whatever else is already queued
+                // (non-blocking, `DRAIN_BURST`-bounded) before waiting
+                // again. Each command still carries — and gets — its own
+                // reply, so pipelined clients see one reply line per
+                // request.
+                Ok(first) => {
+                    let mut job = Some(first);
+                    let mut burst = 0;
+                    while let Some(j) = job.take() {
+                        let Some((cmd, reply)) = j else {
+                            break 'serve;
+                        };
+                        core.note_dequeue();
+                        let _ = reply.send(core.handle(cmd));
+                        burst += 1;
+                        if burst < DRAIN_BURST {
+                            job = rx.try_recv();
                         }
                     }
-                    Err(RecvWait::Timeout) => {}
-                    Err(RecvWait::Closed) => break 'serve,
                 }
-                // The *cadence* of sweep checks is the queue's timed
-                // wait; whether a session is expired is judged purely on
-                // the SimClock, so virtual-time tests evict
-                // deterministically.
-                let now = core.clock().now();
-                if now.since(last_sweep) >= sweep_every {
-                    core.sweep(now);
-                    last_sweep = now;
-                }
+                Err(RecvWait::Timeout) => {}
+                Err(RecvWait::Closed) => break 'serve,
             }
-        }),
-    )
+            // The *cadence* of sweep checks is the queue's timed wait;
+            // whether a session is expired is judged purely on the
+            // SimClock, so virtual-time tests evict deterministically.
+            let now = core.clock().now();
+            if now.since(last_sweep) >= sweep_every {
+                core.sweep(now);
+                last_sweep = now;
+            }
+        }
+    })
 }

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::protocol::{execute, parse};
-use crate::runtime::{Runtime, TaskHandle, ThreadRuntime};
+use crate::runtime::{self, TaskHandle};
 use crate::service::ServiceHandle;
 
 /// Longest accepted frame line (bytes, including the newline).
@@ -46,24 +46,20 @@ pub struct Server {
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral test port) and
     /// start accepting connections against `handle`'s service. The
-    /// accept loop and every connection run on the production
-    /// [`ThreadRuntime`] — the TCP front end is inherently an OS-thread
-    /// affair; `cr-sim` simulates framed clients above the protocol
-    /// layer instead of through sockets.
+    /// accept loop and every connection run on their own OS thread
+    /// ([`runtime::spawn`]) — the TCP front end is inherently an
+    /// OS-thread affair; `cr-sim` simulates framed clients above the
+    /// protocol layer instead of through sockets.
     pub fn bind<A: ToSocketAddrs>(addr: A, handle: ServiceHandle) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let runtime = Arc::new(ThreadRuntime::real());
-        let rt2 = Arc::clone(&runtime);
-        let accept_thread = runtime
-            .spawn(
-                "cr-serve-accept",
-                Box::new(move || accept_loop(listener, handle, stop2, rt2)),
-            )
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let accept_thread = runtime::spawn("cr-serve-accept", move || {
+            accept_loop(listener, handle, stop2)
+        })
+        .map_err(|e| std::io::Error::other(e.to_string()))?;
         Ok(Server {
             addr,
             stop,
@@ -95,12 +91,7 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    handle: ServiceHandle,
-    stop: Arc<AtomicBool>,
-    runtime: Arc<ThreadRuntime>,
-) {
+fn accept_loop(listener: TcpListener, handle: ServiceHandle, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -111,14 +102,11 @@ fn accept_loop(
                 let stop = Arc::clone(&stop);
                 // Connection tasks are detached; they exit when the
                 // client disconnects or the stop flag flips.
-                let _ = runtime.spawn(
-                    "cr-serve-conn",
-                    Box::new(move || connection_loop(stream, handle, stop)),
-                );
+                let _ = runtime::spawn("cr-serve-conn", move || {
+                    connection_loop(stream, handle, stop)
+                });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                runtime.sleep(POLL);
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => runtime::sleep(POLL),
             Err(_) => break,
         }
     }
@@ -134,11 +122,14 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
     };
     let mut reader = BufReader::new(stream);
     // Partial lines survive read timeouts: `buf` accumulates until a
-    // newline (or EOF) completes the frame.
+    // newline (or EOF) completes the frame. Each read may only fill what
+    // is left of the cap, so a line whose bytes straddle a timeout is
+    // capped as a whole.
     let mut buf: Vec<u8> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         let mut at_eof = false;
-        match (&mut reader).take(MAX_FRAME).read_until(b'\n', &mut buf) {
+        let room = MAX_FRAME.saturating_sub(buf.len() as u64);
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) if buf.is_empty() => return, // client closed cleanly
             Ok(0) => at_eof = true,            // final line without newline
             Ok(_) if !buf.ends_with(b"\n") => {

@@ -2,7 +2,9 @@
 //! eviction, and the cross-shard determinism contract.
 
 use cr_core::SchemeKind;
-use cr_serve::{ServeError, Service, ServiceConfig, SessionSpec, SimClock, WorkloadSpec};
+use cr_serve::{
+    ServeError, Service, ServiceApi, ServiceConfig, SessionSpec, SimClock, WorkloadSpec,
+};
 use std::time::Duration;
 
 fn spec() -> SessionSpec {
@@ -12,7 +14,7 @@ fn spec() -> SessionSpec {
 #[test]
 fn open_step_stats_trace_close() {
     let service = Service::start(ServiceConfig::with_shards(2)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let open = h.open(spec()).unwrap();
     assert_eq!(open.scheme, "hp-dmmpc");
     assert!(open.redundancy >= 1.0);
@@ -47,7 +49,7 @@ fn open_step_stats_trace_close() {
 #[test]
 fn unknown_session_and_bad_build_are_errors() {
     let service = Service::start(ServiceConfig::with_shards(1)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     assert!(matches!(h.stats(999), Err(ServeError::UnknownSession(999))));
     // Empty machine is a BuildError surfaced through the service.
     let err = h
@@ -60,7 +62,7 @@ fn unknown_session_and_bad_build_are_errors() {
 #[test]
 fn budget_exhaustion_is_graceful() {
     let service = Service::start(ServiceConfig::with_shards(1)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let open = h.open(spec().max_steps(7)).unwrap();
     let sum = h.step(open.sid, WorkloadSpec::Uniform, 100).unwrap();
     assert_eq!(sum.executed, 7);
@@ -79,7 +81,7 @@ fn budget_exhaustion_is_graceful() {
 #[test]
 fn idle_ttl_evicts_but_touch_keeps_alive() {
     let service = Service::start(ServiceConfig::with_shards(1)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let doomed = h.open(spec().ttl(Duration::from_millis(40))).unwrap();
     let kept = h.open(spec().ttl(Duration::from_millis(400))).unwrap();
     // Touch the long-TTL session while the short one idles past its TTL
@@ -110,7 +112,7 @@ fn idle_ttl_evicts_on_virtual_clock() {
         ..Default::default()
     };
     let service = Service::start(cfg).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let doomed = h.open(spec().ttl(Duration::from_millis(100))).unwrap();
     let kept = h.open(spec().ttl(Duration::from_secs(3600))).unwrap();
     h.step(doomed.sid, WorkloadSpec::Uniform, 1).unwrap();
@@ -152,7 +154,7 @@ fn cross_shard_determinism_same_seed_same_trace() {
     for shards in [1usize, 2, 4] {
         let service =
             Service::start(ServiceConfig::with_shards(shards)).expect("spawn shard workers");
-        let h = service.handle();
+        let mut h = service.handle();
         // Noise sessions with different seeds, interleaved before/around
         // the probed one so ids and placement differ per shard count.
         let noise1 = h.open(spec().seed(1)).unwrap();
@@ -180,7 +182,7 @@ fn step_many_matches_per_session_steps() {
     let mut cycles = Vec::new();
     for batched in [false, true] {
         let service = Service::start(ServiceConfig::with_shards(2)).expect("spawn shard workers");
-        let h = service.handle();
+        let mut h = service.handle();
         let sids: Vec<u64> = (0..12)
             .map(|i| h.open(spec().seed(1000 + i)).unwrap().sid)
             .collect();
@@ -222,7 +224,7 @@ fn step_many_matches_per_session_steps() {
 #[test]
 fn step_many_counts_errors_without_masking_the_batch() {
     let service = Service::start(ServiceConfig::with_shards(2)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let live = h.open(spec()).unwrap().sid;
     let spent = h.open(spec().max_steps(2)).unwrap().sid;
     let dead = h.open(spec()).unwrap().sid;
@@ -249,7 +251,7 @@ fn step_many_counts_errors_without_masking_the_batch() {
 #[test]
 fn info_merges_shard_metrics() {
     let service = Service::start(ServiceConfig::with_shards(4)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let mut sids = Vec::new();
     for i in 0..32 {
         sids.push(h.open(spec().seed(i)).unwrap().sid);
@@ -296,7 +298,7 @@ fn events_and_metrics_are_deterministic_across_shard_counts() {
             ..Default::default()
         };
         let service = Service::start(cfg).expect("spawn shard workers");
-        let h = service.handle();
+        let mut h = service.handle();
         let a = h.open(spec().seed(1)).unwrap();
         let b = h.open(spec().seed(777)).unwrap();
         h.step(a.sid, WorkloadSpec::Uniform, 3).unwrap();
@@ -360,7 +362,7 @@ fn per_session_events_are_filtered_and_ordered() {
         ..Default::default()
     };
     let service = Service::start(cfg).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let noise = h.open(spec().seed(5)).unwrap();
     let probe = h.open(spec().seed(6)).unwrap();
     h.step(noise.sid, WorkloadSpec::Uniform, 1).unwrap();
@@ -381,7 +383,7 @@ fn per_session_events_are_filtered_and_ordered() {
 #[test]
 fn metrics_exposition_matches_info_counters() {
     let service = Service::start(ServiceConfig::with_shards(2)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let open = h.open(spec()).unwrap();
     let sum = h.step(open.sid, WorkloadSpec::Uniform, 5).unwrap();
     let info = cr_serve::protocol::render_info(h.registry());
@@ -423,7 +425,7 @@ fn metrics_exposition_matches_info_counters() {
 #[test]
 fn faulty_sessions_serve_and_survive() {
     let service = Service::start(ServiceConfig::with_shards(2)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let open = h
         .open(SessionSpec::new(16, 256, SchemeKind::HpDmmpc).faults(0.125))
         .unwrap();
@@ -459,7 +461,7 @@ fn handles_are_usable_from_many_threads() {
     let total: u64 = std::thread::scope(|scope| {
         (0..8u64)
             .map(|t| {
-                let h = h.clone();
+                let mut h = h.clone();
                 scope.spawn(move || {
                     let mut steps = 0;
                     for i in 0..8 {

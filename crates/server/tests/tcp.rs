@@ -2,7 +2,7 @@
 //! malformed-frame robustness, and multi-connection isolation.
 
 use cr_serve::tcp::Server;
-use cr_serve::{Service, ServiceConfig};
+use cr_serve::{Service, ServiceApi, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -149,13 +149,24 @@ fn malformed_frames_get_err_replies_and_leave_the_connection_up() {
 #[test]
 fn oversized_frame_is_rejected_without_panic() {
     let (service, server) = boot(1);
-    let mut c = Client::connect(server.local_addr());
-    // A 100 KiB line exceeds the 64 KiB frame cap.
+    // A 100 KiB line exceeds the 64 KiB frame cap. So does an 80 KiB
+    // `PING` written in two parts with a pause longer than the server's
+    // read timeout between them: the cap holds across partial reads.
     let huge = format!("STEP 1 raw r={}\n", "9,".repeat(50_000));
-    c.writer.write_all(huge.as_bytes()).unwrap();
-    let mut reply = String::new();
-    c.reader.read_line(&mut reply).unwrap();
-    assert!(reply.starts_with("ERR frame exceeds"), "{reply}");
+    let padded_ping = format!("PING{}", " ".repeat(60 * 1024 - 4));
+    let tail = format!("{}\n", " ".repeat(20 * 1024));
+    for parts in [vec![huge], vec![padded_ping, tail]] {
+        let mut c = Client::connect(server.local_addr());
+        for (i, part) in parts.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(200));
+            }
+            c.writer.write_all(part.as_bytes()).unwrap();
+        }
+        let mut reply = String::new();
+        c.reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("ERR frame exceeds"), "{reply}");
+    }
     // The server as a whole is still alive for new connections.
     let mut c2 = Client::connect(server.local_addr());
     assert_eq!(c2.roundtrip("PING"), "OK pong");
@@ -227,7 +238,7 @@ fn pipelined_stepn_window_replies_in_order() {
 
     // The same 16 steps ping-pong, in process.
     let service = Service::start(ServiceConfig::with_shards(1)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let open = h
         .open(cr_serve::SessionSpec::new(8, 64, cr_core::SchemeKind::HpDmmpc).seed(300))
         .unwrap();
@@ -254,7 +265,7 @@ fn tcp_trace_matches_in_process_trace() {
     service.shutdown();
 
     let service = Service::start(ServiceConfig::with_shards(1)).expect("spawn shard workers");
-    let h = service.handle();
+    let mut h = service.handle();
     let open = h
         .open(cr_serve::SessionSpec::new(8, 64, cr_core::SchemeKind::HpDmmpc).seed(99))
         .unwrap();

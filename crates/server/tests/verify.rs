@@ -3,7 +3,9 @@
 
 use cr_core::SchemeKind;
 use cr_serve::protocol::render_verify;
-use cr_serve::{Service, ServiceConfig, SessionSpec, SimClock, VerifyMode, WorkloadSpec};
+use cr_serve::{
+    Service, ServiceApi, ServiceConfig, SessionSpec, SimClock, VerifyMode, WorkloadSpec,
+};
 
 fn manual_service(shards: usize) -> Service {
     let cfg = ServiceConfig {
@@ -22,7 +24,7 @@ fn spec(seed: u64) -> SessionSpec {
 /// every session's `VERIFY` reply, in sid order.
 fn verify_lines(shards: usize, sessions: u64) -> Vec<String> {
     let service = manual_service(shards);
-    let h = service.handle();
+    let mut h = service.handle();
     let sids: Vec<u64> = (0..sessions)
         .map(|i| h.open(spec(7 ^ i)).unwrap().sid)
         .collect();
@@ -52,7 +54,7 @@ fn verify_replies_are_byte_identical_across_shard_counts() {
 #[test]
 fn verify_summary_and_counters_account_exactly() {
     let service = manual_service(2);
-    let h = service.handle();
+    let mut h = service.handle();
     let a = h.open(spec(1)).unwrap().sid;
     let b = h.open(spec(2).verify(VerifyMode::Off)).unwrap().sid;
     // n = 8 ops per uniform step; 130 steps wraps a's 1024-op ring by
@@ -68,7 +70,8 @@ fn verify_summary_and_counters_account_exactly() {
     assert_eq!(sum.truncated, 16);
 
     // The preregistered counters agree with the per-session reports.
-    let reg = h.registry();
+    let reader = service.handle();
+    let reg = reader.registry();
     assert_eq!(reg.total("cr_verify_checked_ops_total"), Some(1040));
     assert_eq!(reg.total("cr_verify_ring_truncations_total"), Some(16));
     assert_eq!(reg.total("cr_verify_violations_total"), Some(0));
@@ -84,7 +87,7 @@ fn verify_summary_and_counters_account_exactly() {
 #[test]
 fn fault_injected_sessions_verify_clean_service_wide() {
     let service = manual_service(2);
-    let h = service.handle();
+    let mut h = service.handle();
     for kind in SchemeKind::ALL {
         let spec = SessionSpec::new(8, 64, kind).seed(5).faults(0.125);
         let open = h.open(spec).unwrap();
@@ -100,7 +103,7 @@ fn fault_injected_sessions_verify_clean_service_wide() {
 #[test]
 fn verify_events_land_in_the_ring() {
     let service = manual_service(1);
-    let h = service.handle();
+    let mut h = service.handle();
     let sid = h.open(spec(3)).unwrap().sid;
     h.step(sid, WorkloadSpec::Uniform, 4).unwrap();
     h.verify(sid).unwrap();

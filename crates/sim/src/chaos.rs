@@ -9,6 +9,7 @@
 
 use cr_serve::protocol::parse;
 use cr_serve::tcp::MAX_FRAME;
+use cr_serve::ServiceApi;
 use simrng::{Rng, Xoshiro256pp};
 use std::time::Duration;
 

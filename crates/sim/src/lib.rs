@@ -1,11 +1,13 @@
 //! `cr-sim` — deterministic whole-service simulation with seeded chaos
 //! injection (DESIGN.md §13).
 //!
-//! The serving layer's behavior lives in [`cr_serve::ShardCore`] state
-//! machines behind a runtime seam; production drives them on OS threads
-//! ([`cr_serve::ThreadRuntime`]), and this crate drives the *identical*
-//! cores from a single-threaded executor on virtual time — the
-//! FoundationDB simulation-testing shape. One seed determines every
+//! The serving layer's behavior lives in sans-IO [`cr_serve::ShardCore`]
+//! state machines that take a command and return its reply, and every
+//! verb is written once on [`cr_serve::ServiceApi`]. Production runs the
+//! cores on OS threads behind command queues ([`cr_serve::Service`]);
+//! this crate supplies the trait's transport for the *identical* cores
+//! and drives them from a single-threaded executor on virtual time —
+//! the FoundationDB simulation-testing shape. One seed determines every
 //! client frame, think time, sweep tick, and chaos draw, so:
 //!
 //! * same seed ⇒ same interleaving ⇒ byte-identical merged `EVENTS`

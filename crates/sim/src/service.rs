@@ -1,22 +1,20 @@
 //! The simulated service: the *same* [`ShardCore`]s production runs,
 //! owned directly by one thread and driven synchronously.
 //!
-//! [`SimService`] implements [`ServiceApi`], so
-//! `cr_serve::protocol::execute` runs the identical parser, executor,
-//! and reply rendering against it that the TCP front end runs against a
+//! [`SimService`] supplies [`ServiceApi`]'s transport — shard count,
+//! session ids, registry, and a `call` that runs one command on one
+//! core inline — and inherits every verb from the trait, so
+//! `cr_serve::protocol::execute` runs the identical parser, verbs, and
+//! reply rendering against it that the TCP front end runs against a
 //! threaded [`cr_serve::ServiceHandle`]. The only differences are the
-//! driver mechanics: commands are handled inline (no queue wait), reply
-//! channels are read back immediately, and a crashed core answers
-//! `shard down` the way a dead worker's closed queue would.
+//! driver mechanics: commands are handled inline (no queue wait, no
+//! reply channel), and a crashed core answers `shard down` itself, the
+//! way a dead worker's closed queue would.
 
-use cr_core::clock::{SimClock, Tick};
-use cr_obs::{Event, Registry};
+use cr_core::clock::Tick;
+use cr_obs::Registry;
 use cr_serve::ServeError;
-use cr_serve::{
-    build_cores, chan, OpenInfo, Reply, ReplyTx, ServiceApi, ServiceConfig, SessionSpec,
-    SessionStats, ShardCmd, ShardCore, StepSummary, TraceInfo, VerifyInfo, VerifySummary,
-    WorkloadSpec,
-};
+use cr_serve::{build_cores, Reply, ServiceApi, ServiceConfig, ShardCmd, ShardCore};
 
 /// The single-threaded stand-in for a running [`cr_serve::Service`].
 pub struct SimService {
@@ -42,24 +40,9 @@ impl SimService {
         }
     }
 
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Which shard owns a session id (the service's hash routing).
-    pub fn shard_of(&self, sid: u64) -> usize {
-        (simrng::mix64(sid) % self.cores.len() as u64) as usize
-    }
-
     /// Live sessions across every core.
     pub fn live_sessions(&self) -> usize {
         self.cores.iter().map(|c| c.sessions()).sum()
-    }
-
-    /// Whether a shard is crashed.
-    pub fn is_down(&self, shard: usize) -> bool {
-        self.cores.get(shard).is_some_and(|c| c.is_down())
     }
 
     /// Run one shard's TTL sweep (the executor's sweep events call this
@@ -109,134 +92,29 @@ impl SimService {
         // Depths capacity+burst ..= capacity were at/past the threshold.
         burst + 1
     }
-
-    /// Deliver one command to a shard and read back its reply — the
-    /// synchronous analogue of enqueue → worker dequeue → reply recv.
-    /// The reply channel has capacity 1 and each command sends exactly
-    /// once, so the send never blocks and `try_recv` never misses.
-    fn call(
-        &mut self,
-        shard: usize,
-        make: impl FnOnce(ReplyTx) -> ShardCmd,
-    ) -> Result<Reply, ServeError> {
-        let core = self.cores.get_mut(shard).ok_or(ServeError::ShardDown)?;
-        if core.is_down() {
-            return Err(ServeError::ShardDown);
-        }
-        let (reply_tx, reply_rx) = chan(1);
-        core.queue_depth_gauge().add(1);
-        core.note_dequeue();
-        core.handle(make(reply_tx));
-        reply_rx.try_recv().ok_or(ServeError::ShardDown)?
-    }
 }
 
 impl ServiceApi for SimService {
-    fn open(&mut self, spec: SessionSpec) -> Result<OpenInfo, ServeError> {
+    fn shards(&self) -> usize {
+        self.cores.len()
+    }
+
+    fn next_sid(&mut self) -> u64 {
         let sid = self.next_sid;
         self.next_sid += 1;
-        let shard = self.shard_of(sid);
-        match self.call(shard, |reply| ShardCmd::Open { sid, spec, reply })? {
-            Reply::Open(info) => Ok(info),
-            _ => Err(ServeError::ShardDown),
-        }
+        sid
     }
 
-    fn step(
-        &mut self,
-        sid: u64,
-        workload: WorkloadSpec,
-        count: u64,
-    ) -> Result<StepSummary, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Step {
-            sid,
-            workload,
-            count,
-            reply,
-        })? {
-            Reply::Step(sum) => Ok(sum),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    fn stats(&mut self, sid: u64) -> Result<SessionStats, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Stats { sid, reply })? {
-            Reply::Stats(st) => Ok(st),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    fn trace(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Trace { sid, reply })? {
-            Reply::Trace(t) => Ok(t),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    fn verify(&mut self, sid: u64) -> Result<VerifyInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Verify {
-            sid: Some(sid),
-            reply,
-        })? {
-            Reply::Verify(info) => Ok(info),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    fn verify_all(&mut self) -> Result<VerifySummary, ServeError> {
-        let mut sum = VerifySummary::default();
-        for shard in 0..self.cores.len() {
-            match self.call(shard, |reply| ShardCmd::Verify { sid: None, reply })? {
-                Reply::VerifySummary(s) => sum.merge(&s),
-                _ => return Err(ServeError::ShardDown),
-            }
-        }
-        Ok(sum)
-    }
-
-    fn close(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Close { sid, reply })? {
-            Reply::Close(t) => Ok(t),
-            _ => Err(ServeError::ShardDown),
-        }
+    /// Deliver one command to a shard and return its reply — the
+    /// synchronous analogue of enqueue → worker dequeue → reply.
+    fn call(&mut self, shard: usize, cmd: ShardCmd) -> Result<Reply, ServeError> {
+        let core = self.cores.get_mut(shard).ok_or(ServeError::ShardDown)?;
+        core.queue_depth_gauge().add(1);
+        core.note_dequeue();
+        core.handle(cmd)
     }
 
     fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {
-        if let Some(s) = sid {
-            return match self.call(self.shard_of(s), |reply| ShardCmd::Events {
-                sid: Some(s),
-                reply,
-            })? {
-                Reply::Events(evs) => Ok(evs),
-                _ => Err(ServeError::ShardDown),
-            };
-        }
-        let mut all = Vec::new();
-        for shard in 0..self.cores.len() {
-            match self.call(shard, |reply| ShardCmd::Events { sid: None, reply })? {
-                Reply::Events(evs) => all.extend(evs),
-                _ => return Err(ServeError::ShardDown),
-            }
-        }
-        // Stable by-sid sort: same merge the threaded handle performs,
-        // so per-session event streams are shard-count-invariant.
-        all.sort_by_key(|e| e.sid);
-        Ok(all)
-    }
-}
-
-/// Used by the executor's final sweep-down check — `SimClock` is cheap
-/// to clone but the service does not otherwise expose its cores.
-impl SimService {
-    /// The clock the cores stamp events with.
-    pub fn clock(&self) -> SimClock {
-        self.cores
-            .first()
-            .map(|c| c.clock().clone())
-            .unwrap_or_else(SimClock::manual)
     }
 }

@@ -9,7 +9,7 @@
 //! checked in O(1): a write advances the cell's frontier, a read must
 //! return the frontier value (or the initial zero before any write).
 //!
-//! State is dense — one [`CellState`] per simulated cell, allocated
+//! State is dense — one `CellState` per simulated cell, allocated
 //! once when the session opens (`m` is capped by the server) — so the
 //! append path does no hashing, no allocation, and no search. The first
 //! illegal op is captured as a structured [`Violation`]; the checker

@@ -188,9 +188,9 @@ const EXPECTED_TRACES: [(SchemeKind, &str); 3] = [
 
 #[test]
 fn golden_session_trace_hashes() {
-    use pramsim::serve::{Service, ServiceConfig, SessionSpec, WorkloadSpec};
+    use pramsim::serve::{Service, ServiceApi, ServiceConfig, SessionSpec, WorkloadSpec};
     let svc = Service::start(ServiceConfig::with_shards(2)).expect("spawn shard workers");
-    let h = svc.handle();
+    let mut h = svc.handle();
     for (kind, expected) in EXPECTED_TRACES {
         let open = h
             .open(SessionSpec::new(16, 256, kind).seed(GOLDEN_SEED))
