@@ -1331,14 +1331,6 @@ pub mod serve {
         }
     }
 
-    /// The schemes E16 serves. The routed 2DMOT schemes simulate every
-    /// network packet and would dominate the grid by hours; they are
-    /// excluded here (E15 covers their single-session cost) and the
-    /// rendering names the exclusion.
-    fn flat(kind: SchemeKind) -> bool {
-        !matches!(kind, SchemeKind::Hp2dmotLeaves | SchemeKind::Lpp2dmot)
-    }
-
     /// The `(shards, sessions)` grid. Full mode ends at the acceptance
     /// point — ≥ 1000 concurrent sessions on 4 shards; `--quick` keeps
     /// one small point for CI.
@@ -1415,7 +1407,7 @@ pub mod serve {
     /// Measure the whole grid.
     pub fn rows(ctx: &RunCtx) -> Vec<ServeRow> {
         let mut out = Vec::new();
-        for &kind in ctx.schemes.iter().filter(|&&k| flat(k)) {
+        for &kind in &ctx.schemes {
             for &(shards, sessions) in &grid(ctx) {
                 out.push(measure(kind, shards, sessions, ctx.seed));
             }
@@ -1475,33 +1467,19 @@ pub mod serve {
                 },
             ]);
         }
-        let skipped: Vec<&str> = ctx
-            .schemes
-            .iter()
-            .filter(|&&k| !flat(k))
-            .map(|k| k.name())
-            .collect();
         format!(
             "E16: serving throughput — concurrent sessions (n={}, m={})\n\
              multiplexed over the sharded session service, driven in-process\n\
              by {DRIVERS} pipelining client threads (step_many, {BATCH}-step\n\
              commands), {} steps/session (seed {}{}).\n\
              Latency quantiles come from the per-shard fixed-bucket\n\
-             histograms, merged.{}\n{}\n\n\
+             histograms, merged.\n{}\n\n\
              cycle attribution (from the cr_stage*_cycles_total metrics):\n{}\njson:\n{}",
             SESSION_N,
             SESSION_M,
             STEPS_PER_SESSION,
             ctx.seed,
             if ctx.quick { ", --quick" } else { "" },
-            if skipped.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    "\n             Excluded (cycle-level routing, see E15): {}.",
-                    skipped.join(", ")
-                )
-            },
             t.render(),
             attr.render(),
             json
@@ -1598,8 +1576,8 @@ pub mod verify_overhead {
         }
     }
 
-    /// Same exclusion as E16: the routed 2DMOT schemes simulate every
-    /// packet and E15 already covers their single-session cost.
+    /// The flat schemes only: a routed 2DMOT step simulates every packet,
+    /// so the verify plane's share of it is noise (E16 serves them).
     fn flat(kind: SchemeKind) -> bool {
         !matches!(kind, SchemeKind::Hp2dmotLeaves | SchemeKind::Lpp2dmot)
     }

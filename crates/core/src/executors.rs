@@ -294,7 +294,7 @@ mod tests {
         // root 0* cannot route — but the same copy retried from another
         // root could, so the outcome is Killed (retry), never Dead.
         let root = ex.network().topology().root(0);
-        let dead: Vec<_> = ex.network().topology().graph().out_edges(root).to_vec();
+        let dead: Vec<_> = ex.network().topology().graph().out_edges(root).collect();
         ex.network_mut().fail_links(&dead);
         assert!(ex.lossy(), "dead links permit protocol degradation");
         let attempts = vec![attempt(0, 2, 0), attempt(1, 5, 1)];

@@ -18,12 +18,14 @@
 //! switch — the extra hardware the DMBDN model admits.
 //!
 //! Crate layout:
-//! * [`topology`] — the graph, with per-node routing ports and subtree
-//!   cover intervals;
+//! * [`topology`] — the graph, with one compact routing record per node
+//!   (`u32` ports plus the split point of its subtree, so each down-step
+//!   is one compare);
 //! * [`network`] — phase-synchronous batched request routing over the
 //!   cycle-level `netsim` engine (root → row tree ↓ → column tree ↑ → root →
 //!   column tree ↓ → leaf, and back), with per-column admission control
-//!   (the protocols' collision-kill / pipelining knob);
+//!   (the protocols' collision-kill / pipelining knob); packets stay in
+//!   the engine's slab while they route, so a hop moves a `u32` index;
 //! * [`primitives`] — the native tree computations (broadcast, reduce,
 //!   matrix–vector product) executed level by level with cycle counts;
 //! * [`area`] — the VLSI area model (Leighton's bound, the paper's §3

@@ -130,6 +130,7 @@ struct Router<'a, P, F> {
 }
 
 impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P, F> {
+    // lint: hot
     fn route(&mut self, node: NodeId, p: &mut MotPacket<P>, _topo: &Topology) -> Route {
         let mot = self.mot;
         let ports = mot.ports(node);
@@ -144,7 +145,7 @@ impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P,
                     }
                     self.col_admit[c] += 1;
                     p.leg = Leg::ColUp;
-                    Route::Forward(ports.col_up.expect("leaf has column parent"))
+                    Route::Forward(ports.col_up as EdgeId)
                 } else {
                     Route::Forward(mot.row_step_down(node, p.req.col))
                 }
@@ -157,7 +158,7 @@ impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P,
                     p.leg = Leg::ColDown;
                     Route::Forward(mot.col_step_down(node, p.req.row))
                 } else {
-                    Route::Forward(ports.col_up.expect("column node has parent"))
+                    Route::Forward(ports.col_up as EdgeId)
                 }
             }
             Leg::ColDown => {
@@ -173,13 +174,13 @@ impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P,
                     p.leg = Leg::ReplyColDown;
                     Route::Forward(mot.col_step_down(node, p.req.src_root))
                 } else {
-                    Route::Forward(ports.col_up.expect("column node has parent"))
+                    Route::Forward(ports.col_up as EdgeId)
                 }
             }
             Leg::ReplyColDown => {
                 if mot.as_leaf(node).is_some() {
                     p.leg = Leg::ReplyRowUp;
-                    Route::Forward(ports.row_up.expect("leaf has row parent"))
+                    Route::Forward(ports.row_up as EdgeId)
                 } else {
                     Route::Forward(mot.col_step_down(node, p.req.src_root))
                 }
@@ -189,13 +190,14 @@ impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P,
                     debug_assert_eq!(t, p.req.src_root);
                     Route::Consume
                 } else {
-                    Route::Forward(ports.row_up.expect("row node has parent"))
+                    Route::Forward(ports.row_up as EdgeId)
                 }
             }
             Leg::Killed => Route::Consume,
         }
     }
 
+    // lint: hot
     fn consume(
         &mut self,
         node: NodeId,
@@ -318,6 +320,7 @@ impl<P> MotNetwork<P> {
     ///   exactly once per served request when it reaches its leaf;
     /// * `out` — cleared, then filled with the batch's served / killed /
     ///   faulted requests.
+    // lint: hot
     pub fn route_batch_into<F: FnMut(usize, usize, &mut P)>(
         &mut self,
         reqs: &mut Vec<MotRequest<P>>,
@@ -679,7 +682,7 @@ mod tests {
         // Kill root 0's first row-tree down-link: every request from root 0
         // dies on its first hop; other roots are untouched.
         let root = net.topology().root(0);
-        let first_down = net.topology().graph().out_edges(root).to_vec();
+        let first_down: Vec<_> = net.topology().graph().out_edges(root).collect();
         net.fail_links(&first_down);
         assert_eq!(net.dead_links(), first_down.len());
         let mk = |src: usize| MotRequest {
@@ -798,5 +801,91 @@ mod tests {
         assert_eq!(a.served, b.served);
         assert_eq!(a.killed, b.killed);
         assert_eq!(a.stats.cycles, b.stats.cycles);
+    }
+
+    /// The routing contract, pinned: seeded batches across grid sides,
+    /// queue capacities (the default and the overflow-prone 1..=3),
+    /// admission limits, dead-link fractions and both service points,
+    /// with every outcome folded into one FNV digest — the served, killed
+    /// and faulted lists in order (with the serve-callback order each
+    /// payload recorded) and every [`RunStats`] field. Any change to
+    /// per-cycle semantics (delivery order, FIFO order, stall, admission,
+    /// dead-link or reply timing) moves it.
+    #[test]
+    fn route_batch_outcomes_match_the_pinned_digest() {
+        use simrng::{fnv1a, FNV_OFFSET};
+        let fold_reqs = |h: &mut u64, list: &[MotRequest<u64>]| {
+            fnv1a(h, list.len() as u64);
+            for q in list {
+                for v in [q.src_root, q.row, q.col, q.to_root as usize] {
+                    fnv1a(h, v as u64);
+                }
+                fnv1a(h, q.payload);
+            }
+        };
+        let mut h = FNV_OFFSET;
+        // Totals of served, killed, faulted, queue drops, max queue.
+        let mut seen = [0u64; 5];
+        for side in [2usize, 4, 8, 16, 64] {
+            for cap in [None, Some(1), Some(2), Some(3)] {
+                for (fi, frac) in [0.0, 0.02, 0.1].into_iter().enumerate() {
+                    let mut net: MotNetwork<u64> = match cap {
+                        None => MotNetwork::new(side),
+                        Some(c) => MotNetwork::with_queue_capacity(side, c),
+                    };
+                    let seed = (side * 131 + cap.unwrap_or(0) * 17 + fi) as u64;
+                    fnv1a(&mut h, net.fail_random_links(frac, seed) as u64);
+                    let mut rng = rng_from_seed(seed ^ 0x5EED);
+                    for col_limit in [1, 2, 4, side] {
+                        for to_root in [false, true] {
+                            for _ in 0..2 {
+                                let len = 1 + rng.index(3 * side);
+                                // Half the batches aim at a few hot
+                                // columns, so admission is contested.
+                                let cols = if rng.chance(0.5) { side } else { 1 + side / 4 };
+                                let reqs: Vec<_> = (0..len)
+                                    .map(|i| MotRequest {
+                                        to_root,
+                                        src_root: rng.index(side),
+                                        row: rng.index(side),
+                                        col: rng.index(cols),
+                                        payload: i as u64,
+                                    })
+                                    .collect();
+                                let mut order = 0u64;
+                                let out = net.route_batch(reqs, col_limit, |r, c, p| {
+                                    order += 1;
+                                    *p |= (order << 40) | ((r * side + c) as u64) << 16;
+                                });
+                                fold_reqs(&mut h, &out.served);
+                                fold_reqs(&mut h, &out.killed);
+                                fold_reqs(&mut h, &out.faulted);
+                                let s = &out.stats;
+                                seen[0] += out.served.len() as u64;
+                                seen[1] += out.killed.len() as u64;
+                                seen[2] += out.faulted.len() as u64;
+                                seen[3] += s.dropped;
+                                seen[4] = seen[4].max(s.max_queue as u64);
+                                for v in [
+                                    s.cycles,
+                                    s.delivered,
+                                    s.hops,
+                                    s.dropped,
+                                    s.link_faulted,
+                                    s.discarded,
+                                    s.max_queue as u64,
+                                ] {
+                                    fnv1a(&mut h, v);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Every outcome class is exercised, so the digest is not vacuous.
+        assert!(seen[..4].iter().all(|&t| t > 0), "outcome totals {seen:?}");
+        assert!(seen[4] > 3, "some queue outgrew the capacity-3 bound");
+        assert_eq!(format!("{h:016x}"), "3ab623448a164738");
     }
 }

@@ -1,19 +1,42 @@
 //! Construction of the 2DMOT graph with routing metadata.
+//!
+//! Routing reads one [`Ports`] record per node: its out-edge ids as `u32`
+//! and the split point of the subtree below it. A heap-ordered subtree
+//! splits its leaf interval at the midpoint, so choosing the child toward
+//! a column (row tree) or row (column tree) is one compare.
 
 use netsim::{EdgeId, NodeId, Topology};
 
-/// Routing ports of one node. `None` where the node lacks that port
-/// (internal row nodes have no column ports; roots have no up ports).
-#[derive(Debug, Clone, Copy, Default)]
+/// Port value of a port the node lacks.
+pub const NO_PORT: u32 = u32::MAX;
+
+/// The routing record of one node: its ports as `u32` out-edge ids
+/// ([`NO_PORT`] where the node lacks one — internal row nodes have no
+/// column ports, roots no up ports, leaves no down ports) and the split
+/// point of its subtree. A down-step is one compare against `split`.
+#[derive(Debug, Clone, Copy)]
 pub struct Ports {
     /// Toward the row-tree root.
-    pub row_up: Option<EdgeId>,
+    pub row_up: u32,
     /// Toward the column-tree root.
-    pub col_up: Option<EdgeId>,
-    /// Row-tree children; `[0]` covers the lower half of the column range.
-    pub row_down: [Option<EdgeId>; 2],
-    /// Column-tree children; `[0]` covers the lower half of the row range.
-    pub col_down: [Option<EdgeId>; 2],
+    pub col_up: u32,
+    /// Row-tree children; `[0]` covers the columns below `split`.
+    pub row_down: [u32; 2],
+    /// Column-tree children; `[0]` covers the rows below `split`.
+    pub col_down: [u32; 2],
+    /// First column (row-tree switch) or row (column-tree switch) behind
+    /// down-port `[1]`. A root splits both of its trees at `side / 2`.
+    pub split: u32,
+}
+
+impl Ports {
+    const NONE: Ports = Ports {
+        row_up: NO_PORT,
+        col_up: NO_PORT,
+        row_down: [NO_PORT; 2],
+        col_down: [NO_PORT; 2],
+        split: 0,
+    };
 }
 
 /// An `s × s` two-dimensional mesh of trees with coalesced row/column roots.
@@ -25,14 +48,11 @@ pub struct Ports {
 #[derive(Debug, Clone)]
 pub struct MotTopology {
     side: usize,
+    /// `log₂ side`: a leaf index splits into `(row, col)` by shift and
+    /// mask.
+    depth: u32,
     topo: Topology,
     ports: Vec<Ports>,
-    /// Column interval of leaves reachable through this node's row-tree
-    /// down-ports: `[lo, hi)`.
-    cover_cols: Vec<(u32, u32)>,
-    /// Row interval of leaves reachable through this node's column-tree
-    /// down-ports.
-    cover_rows: Vec<(u32, u32)>,
 }
 
 impl MotTopology {
@@ -51,42 +71,27 @@ impl MotTopology {
         debug_assert_eq!(leaves_base, side);
 
         // Total nodes: side roots + side^2 leaves + 2*side*(side-2) internals.
-        let mut ports: Vec<Ports> = Vec::new();
-        let mut cover_cols: Vec<(u32, u32)> = Vec::new();
-        let mut cover_rows: Vec<(u32, u32)> = Vec::new();
-        let grow_to =
-            |v: &mut Vec<Ports>, cc: &mut Vec<(u32, u32)>, cr: &mut Vec<(u32, u32)>, n: usize| {
-                while v.len() < n {
-                    v.push(Ports::default());
-                    cc.push((0, 0));
-                    cr.push((0, 0));
-                }
-            };
-        grow_to(&mut ports, &mut cover_cols, &mut cover_rows, topo.nodes());
-
+        let mut ports = vec![Ports::NONE; side + side * side + 2 * side * (side - 2)];
         let leaf_id = |r: usize, c: usize| side + r * side + c;
 
         // Build one tree family. `is_row == true`: row tree `t` over leaves
         // (t, 0..side); otherwise column tree `t` over leaves (0..side, t).
-        let build_tree = |topo: &mut Topology,
-                          ports: &mut Vec<Ports>,
-                          cover_cols: &mut Vec<(u32, u32)>,
-                          cover_rows: &mut Vec<(u32, u32)>,
-                          t: usize,
-                          is_row: bool| {
+        let mut node_of = vec![0; side];
+        let mut build_tree = |topo: &mut Topology, t: usize, is_row: bool| {
             // Heap indices 1..side are the internal nodes (heap 1 = root,
             // coalesced with the other family's root for the same t).
-            let mut node_of = vec![usize::MAX; side.max(2)];
             node_of[1] = t; // roots are nodes 0..side
-            #[allow(clippy::needless_range_loop)] // heap is an index into the implicit tree
-            for heap in 2..side {
-                let n = topo.add_node();
-                node_of[heap] = n;
-                grow_to(ports, cover_cols, cover_rows, topo.nodes());
+            for slot in node_of.iter_mut().skip(2) {
+                *slot = topo.add_node();
             }
-            // Edges parent -> child, child -> parent.
             for heap in 1..side {
                 let parent = node_of[heap];
+                // Heap node `heap` at depth d covers `side >> d` leaves
+                // starting at (heap - 2^d)·(side >> d); its right child
+                // takes the upper half.
+                let d = heap.ilog2();
+                let width = side >> d;
+                ports[parent].split = ((heap - (1 << d)) * width + width / 2) as u32;
                 for (slot, child_heap) in [(0usize, 2 * heap), (1, 2 * heap + 1)] {
                     let child = if child_heap < side {
                         node_of[child_heap]
@@ -100,64 +105,27 @@ impl MotTopology {
                     };
                     let (down, up) = topo.add_duplex(parent, child);
                     if is_row {
-                        ports[parent].row_down[slot] = Some(down);
-                        ports[child].row_up = Some(up);
+                        ports[parent].row_down[slot] = down as u32;
+                        ports[child].row_up = up as u32;
                     } else {
-                        ports[parent].col_down[slot] = Some(down);
-                        ports[child].col_up = Some(up);
+                        ports[parent].col_down[slot] = down as u32;
+                        ports[child].col_up = up as u32;
                     }
-                }
-            }
-            // Subtree covers: heap node v at depth d covers `side >> d`
-            // leaves starting at (v - 2^d)·(side >> d).
-            #[allow(clippy::needless_range_loop)] // heap is an index into the implicit tree
-            for heap in 1..side {
-                let d = heap.ilog2() as usize;
-                let width = side >> d;
-                let lo = (heap - (1 << d)) * width;
-                let n = node_of[heap];
-                if is_row {
-                    cover_cols[n] = (lo as u32, (lo + width) as u32);
-                } else {
-                    cover_rows[n] = (lo as u32, (lo + width) as u32);
                 }
             }
         };
 
         for t in 0..side {
-            build_tree(
-                &mut topo,
-                &mut ports,
-                &mut cover_cols,
-                &mut cover_rows,
-                t,
-                true,
-            );
-            build_tree(
-                &mut topo,
-                &mut ports,
-                &mut cover_cols,
-                &mut cover_rows,
-                t,
-                false,
-            );
+            build_tree(&mut topo, t, true);
+            build_tree(&mut topo, t, false);
         }
-
-        // Leaf covers are their own coordinates.
-        for r in 0..side {
-            for c in 0..side {
-                let n = leaf_id(r, c);
-                cover_cols[n] = (c as u32, c as u32 + 1);
-                cover_rows[n] = (r as u32, r as u32 + 1);
-            }
-        }
+        debug_assert_eq!(topo.nodes(), ports.len());
 
         MotTopology {
             side,
+            depth: side.ilog2(),
             topo,
             ports,
-            cover_cols,
-            cover_rows,
         }
     }
 
@@ -178,7 +146,7 @@ impl MotTopology {
     #[inline]
     pub fn leaf(&self, row: usize, col: usize) -> NodeId {
         debug_assert!(row < self.side && col < self.side);
-        self.side + row * self.side + col
+        self.side + (row << self.depth) + col
     }
 
     /// Whether `n` is a root, and which.
@@ -190,31 +158,14 @@ impl MotTopology {
     /// Whether `n` is a leaf, and its `(row, col)`.
     #[inline]
     pub fn as_leaf(&self, n: NodeId) -> Option<(usize, usize)> {
-        if n >= self.side && n < self.side + self.side * self.side {
-            let idx = n - self.side;
-            Some((idx / self.side, idx % self.side))
-        } else {
-            None
-        }
+        let idx = n.wrapping_sub(self.side);
+        (idx < self.side << self.depth).then_some((idx >> self.depth, idx & (self.side - 1)))
     }
 
-    /// Routing ports of node `n`.
+    /// Routing record of node `n`.
     #[inline]
     pub fn ports(&self, n: NodeId) -> &Ports {
         &self.ports[n]
-    }
-
-    /// Column interval `[lo, hi)` reachable through `n`'s row-tree
-    /// down-ports.
-    #[inline]
-    pub fn cover_cols(&self, n: NodeId) -> (u32, u32) {
-        self.cover_cols[n]
-    }
-
-    /// Row interval reachable through `n`'s column-tree down-ports.
-    #[inline]
-    pub fn cover_rows(&self, n: NodeId) -> (u32, u32) {
-        self.cover_rows[n]
     }
 
     /// The underlying netsim graph.
@@ -227,30 +178,16 @@ impl MotTopology {
     #[inline]
     pub fn row_step_down(&self, n: NodeId, col: usize) -> EdgeId {
         let p = &self.ports[n];
-        for slot in 0..2 {
-            let e = p.row_down[slot].expect("node has row children");
-            let (_, child) = self.topo.endpoints(e);
-            let (lo, hi) = self.cover_cols[child];
-            if (col as u32) >= lo && (col as u32) < hi {
-                return e;
-            }
-        }
-        unreachable!("column {col} not covered below node {n}")
+        debug_assert!(p.row_down[0] != NO_PORT, "node {n} has no row children");
+        p.row_down[(col as u32 >= p.split) as usize] as EdgeId
     }
 
     /// Column-tree down-edge at `n` leading toward row `row`.
     #[inline]
     pub fn col_step_down(&self, n: NodeId, row: usize) -> EdgeId {
         let p = &self.ports[n];
-        for slot in 0..2 {
-            let e = p.col_down[slot].expect("node has column children");
-            let (_, child) = self.topo.endpoints(e);
-            let (lo, hi) = self.cover_rows[child];
-            if (row as u32) >= lo && (row as u32) < hi {
-                return e;
-            }
-        }
-        unreachable!("row {row} not covered below node {n}")
+        debug_assert!(p.col_down[0] != NO_PORT, "node {n} has no column children");
+        p.col_down[(row as u32 >= p.split) as usize] as EdgeId
     }
 
     /// Switch count: nodes that are neither roots nor leaves — the "extra
@@ -261,7 +198,7 @@ impl MotTopology {
 
     /// Tree depth: hops from a root to a leaf of its tree, `log₂ side`.
     pub fn depth(&self) -> usize {
-        self.side.ilog2() as usize
+        self.depth as usize
     }
 
     /// Length (hops) of the full request path
@@ -304,9 +241,9 @@ mod tests {
         for r in 0..8 {
             for c in 0..8 {
                 let p = mot.ports(mot.leaf(r, c));
-                assert!(p.row_up.is_some(), "leaf ({r},{c}) lacks row parent");
-                assert!(p.col_up.is_some(), "leaf ({r},{c}) lacks col parent");
-                assert!(p.row_down[0].is_none());
+                assert_ne!(p.row_up, NO_PORT, "leaf ({r},{c}) lacks row parent");
+                assert_ne!(p.col_up, NO_PORT, "leaf ({r},{c}) lacks col parent");
+                assert_eq!(p.row_down[0], NO_PORT);
             }
         }
     }
@@ -316,9 +253,9 @@ mod tests {
         let mot = MotTopology::new(8);
         for t in 0..8 {
             let p = mot.ports(mot.root(t));
-            assert!(p.row_down[0].is_some() && p.row_down[1].is_some());
-            assert!(p.col_down[0].is_some() && p.col_down[1].is_some());
-            assert!(p.row_up.is_none() && p.col_up.is_none());
+            assert!(p.row_down[0] != NO_PORT && p.row_down[1] != NO_PORT);
+            assert!(p.col_down[0] != NO_PORT && p.col_down[1] != NO_PORT);
+            assert!(p.row_up == NO_PORT && p.col_up == NO_PORT);
         }
     }
 
@@ -367,14 +304,14 @@ mod tests {
             for c in 0..side {
                 // Row ascent from leaf (r, c) ends at root r.
                 let mut node = mot.leaf(r, c);
-                while let Some(e) = mot.ports(node).row_up {
-                    node = mot.graph().endpoints(e).1;
+                while mot.ports(node).row_up != NO_PORT {
+                    node = mot.graph().dest(mot.ports(node).row_up as EdgeId);
                 }
                 assert_eq!(mot.as_root(node), Some(r));
                 // Column ascent ends at root c.
                 let mut node = mot.leaf(r, c);
-                while let Some(e) = mot.ports(node).col_up {
-                    node = mot.graph().endpoints(e).1;
+                while mot.ports(node).col_up != NO_PORT {
+                    node = mot.graph().dest(mot.ports(node).col_up as EdgeId);
                 }
                 assert_eq!(mot.as_root(node), Some(c));
             }

@@ -10,33 +10,44 @@
 //!
 //! Per cycle:
 //! 1. every occupied link delivers its packet into the destination node's
-//!    queue (packets arriving at a **full** queue are dropped and reported —
-//!    this is the "collision kill" of the deterministic 2DMOT protocols);
-//! 2. every node scans its queue in FIFO order and, for each packet, asks
-//!    the behavior to [`Route`] it: a forward claims the target link if it
-//!    is free this cycle (one packet per link per cycle — otherwise the
-//!    packet stalls in place), a consume removes the packet (optionally
-//!    spawning a reply, enqueued for the next cycle), a discard drops it.
+//!    queue, in ascending edge id (packets arriving at a **full** queue are
+//!    dropped and reported — this is the "collision kill" of the
+//!    deterministic 2DMOT protocols);
+//! 2. every node, in ascending id, scans its queue in FIFO order and, for
+//!    each packet, asks the behavior to [`Route`] it: a forward claims the
+//!    target link if it is free this cycle (one packet per link per cycle —
+//!    otherwise the packet stalls in place), a consume removes the packet
+//!    (optionally spawning a reply, enqueued for the next cycle), a discard
+//!    drops it.
 //!
 //! A packet therefore moves at most one hop per cycle, and contention for a
 //! link serializes traffic — latency and congestion are *emergent*, which is
 //! what makes the 2DMOT experiments measurements rather than formulas.
 //!
-//! Everything is deterministic: nodes are processed in index order and
-//! queues are FIFO.
-
-use std::collections::VecDeque;
+//! ## Storage
+//!
+//! Everything is a flat index array. Packets live in one slab and never
+//! move while they route: a node's queue is an intrusive list (`u32` head,
+//! tail and length per node, a `u32` next link per slab slot), a link slot
+//! holds the `u32` slab index of the packet in flight, and the topology
+//! maps each edge to its destination with one `u32`. A hop moves four
+//! bytes, and a run allocates nothing once the slab and the scratch lists
+//! have grown to the largest batch seen.
 
 /// Node index in a [`Topology`].
 pub type NodeId = usize;
 /// Directed-edge index in a [`Topology`].
 pub type EdgeId = usize;
 
-/// A directed multigraph with per-node out-edge lists.
+/// A directed multigraph, stored as flat per-edge endpoint arrays: edge
+/// `e` runs `from[e] → to[e]`, ids dense in insertion order. There are no
+/// per-node adjacency lists — the engine only needs each edge's
+/// destination, and behaviors route from their own port tables.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    out: Vec<Vec<EdgeId>>,
-    edges: Vec<(NodeId, NodeId)>,
+    nodes: usize,
+    from: Vec<u32>,
+    to: Vec<u32>,
 }
 
 impl Topology {
@@ -47,28 +58,24 @@ impl Topology {
 
     /// Add a node; returns its id (dense, starting at 0).
     pub fn add_node(&mut self) -> NodeId {
-        self.out.push(Vec::new());
-        self.out.len() - 1
+        self.add_nodes(1)
     }
 
     /// Add `count` nodes; returns the id of the first.
     pub fn add_nodes(&mut self, count: usize) -> NodeId {
-        let first = self.out.len();
-        for _ in 0..count {
-            self.out.push(Vec::new());
-        }
+        let first = self.nodes;
+        self.nodes += count;
+        assert!(self.nodes <= u32::MAX as usize, "node ids must fit u32");
         first
     }
 
     /// Add a directed edge `from → to`; returns its id.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> EdgeId {
-        assert!(
-            from < self.out.len() && to < self.out.len(),
-            "endpoints must exist"
-        );
-        let id = self.edges.len();
-        self.edges.push((from, to));
-        self.out[from].push(id);
+        assert!(from < self.nodes && to < self.nodes, "endpoints must exist");
+        let id = self.to.len();
+        assert!(id < u32::MAX as usize, "edge ids must fit u32");
+        self.from.push(from as u32);
+        self.to.push(to as u32);
         id
     }
 
@@ -80,31 +87,38 @@ impl Topology {
 
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
-        self.out.len()
+        self.nodes
     }
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.to.len()
     }
 
-    /// Out-edges of a node.
-    pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.out[n]
+    /// Out-edges of a node, in ascending id. This scans every edge: it is
+    /// for diagnostics and tests, not for routing.
+    pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
+        (0..self.from.len()).filter(move |&e| self.from[e] as usize == n)
     }
 
     /// `(from, to)` of an edge.
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        self.edges[e]
+        (self.from[e] as NodeId, self.to[e] as NodeId)
+    }
+
+    /// Destination of an edge.
+    #[inline]
+    pub fn dest(&self, e: EdgeId) -> NodeId {
+        self.to[e] as NodeId
     }
 
     /// Maximum total degree (in + out) over all nodes — the quantity the
     /// BDN/DMBDN models bound.
     pub fn max_degree(&self) -> usize {
-        let mut deg = vec![0usize; self.nodes()];
-        for &(a, b) in &self.edges {
-            deg[a] += 1;
-            deg[b] += 1;
+        let mut deg = vec![0usize; self.nodes];
+        for (&a, &b) in self.from.iter().zip(&self.to) {
+            deg[a as usize] += 1;
+            deg[b as usize] += 1;
         }
         deg.into_iter().max().unwrap_or(0)
     }
@@ -192,77 +206,135 @@ pub struct RunStats {
     pub max_queue: usize,
 }
 
-/// The cycle engine. Owns transient state (queues, link slots); borrows a
-/// topology and a behavior per run.
+/// End of the free list; a free link slot.
+const NIL: u32 = u32::MAX;
+/// Link slot of an edge killed by [`Engine::fail_link`].
+const DEAD: u32 = u32::MAX - 1;
+
+/// One node's FIFO queue: an intrusive list through the slab's `next`
+/// links. `head` and `tail` are meaningful only while `len > 0`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Queue {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// The cycle engine. Owns transient state (the packet slab, node queues,
+/// link slots); borrows a topology and a behavior per run.
 ///
 /// Work per cycle is proportional to the number of *active* nodes and
 /// occupied links, not to the size of the network — large, mostly idle
 /// meshes simulate cheaply.
 #[derive(Debug)]
 pub struct Engine<T> {
-    queues: Vec<VecDeque<T>>,
-    /// Packet in flight on each edge, delivered at the start of next cycle.
-    links: Vec<Option<T>>,
+    /// Every queued or in-flight packet, by slab index; `None` marks a
+    /// free slot.
+    packets: Vec<Option<T>>,
+    /// Per slab slot: the next packet in its node's queue (a queue's
+    /// length bounds its walk, so the tail's link is never read), or the
+    /// next free slot.
+    next: Vec<u32>,
+    /// First free slab slot ([`NIL`] when the slab is full).
+    free: u32,
+    queues: Vec<Queue>,
+    /// Per edge: the slab index of the packet in flight (delivered at the
+    /// start of next cycle), [`NIL`] when free, [`DEAD`] when failed.
+    links: Vec<u32>,
     /// Edges with an in-flight packet.
-    occupied: Vec<EdgeId>,
-    /// Nodes with a non-empty queue (kept duplicate-free via `is_active`).
-    active: Vec<NodeId>,
-    is_active: Vec<bool>,
-    /// Edges marked dead by fault injection; forwarding onto one drops the
-    /// packet (reported with [`DropReason::DeadLink`]).
-    dead_links: Vec<bool>,
+    occupied: Vec<u32>,
+    /// Nodes with a non-empty queue. A node joins when its queue turns
+    /// non-empty, so the list stays duplicate-free without a flag array.
+    active: Vec<u32>,
+    /// Replies spawned this cycle, as `(node, slab index)`.
+    spawned: Vec<(u32, u32)>,
     cfg: EngineConfig,
-    /// Scratch pools, recycled every cycle so a steady-state run allocates
-    /// nothing: the delivery list ping-pongs with `occupied`, the round
-    /// list with `active`, the kept-queue with each node's queue, and
-    /// `spawn_scratch` holds replies spawned mid-cycle.
-    arrive_scratch: Vec<EdgeId>,
-    round_scratch: Vec<NodeId>,
-    kept_scratch: VecDeque<T>,
-    spawn_scratch: Vec<(NodeId, T)>,
+    /// Scratch lists, recycled every cycle so a steady-state run
+    /// allocates nothing: the delivery list ping-pongs with `occupied`,
+    /// the round list with `active`.
+    arrive_scratch: Vec<u32>,
+    round_scratch: Vec<u32>,
 }
 
 impl<T> Engine<T> {
     /// An engine sized for `topo`.
     pub fn new(topo: &Topology, cfg: EngineConfig) -> Self {
         Engine {
-            queues: (0..topo.nodes()).map(|_| VecDeque::new()).collect(),
-            links: (0..topo.edge_count()).map(|_| None).collect(),
+            packets: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            queues: vec![Queue::default(); topo.nodes()],
+            links: vec![NIL; topo.edge_count()],
             occupied: Vec::new(),
             active: Vec::new(),
-            is_active: vec![false; topo.nodes()],
-            dead_links: vec![false; topo.edge_count()],
+            spawned: Vec::new(),
             cfg,
             arrive_scratch: Vec::new(),
             round_scratch: Vec::new(),
-            kept_scratch: VecDeque::new(),
-            spawn_scratch: Vec::new(),
         }
     }
 
     /// Mark a directed edge as permanently dead: any packet routed onto it
     /// is dropped and reported with [`DropReason::DeadLink`].
     pub fn fail_link(&mut self, e: EdgeId) {
-        self.dead_links[e] = true;
+        self.links[e] = DEAD;
     }
 
     /// Number of edges currently marked dead.
     pub fn dead_link_count(&self) -> usize {
-        self.dead_links.iter().filter(|&&d| d).count()
-    }
-
-    fn mark_active(&mut self, node: NodeId) {
-        if !self.is_active[node] {
-            self.is_active[node] = true;
-            self.active.push(node);
-        }
+        self.links.iter().filter(|&&l| l == DEAD).count()
     }
 
     /// Inject a packet directly into a node's queue (bypasses capacity:
     /// models work originating at the node).
     pub fn inject(&mut self, node: NodeId, packet: T) {
-        self.queues[node].push_back(packet);
-        self.mark_active(node);
+        let slot = self.store(packet);
+        self.enqueue(node as u32, slot);
+    }
+
+    /// Put `packet` in a free slab slot (growing the slab only past its
+    /// high-water mark); returns the slot.
+    // lint: hot
+    fn store(&mut self, packet: T) -> u32 {
+        if self.free == NIL {
+            let slot = self.packets.len() as u32;
+            assert!(slot < DEAD, "packet slab exhausted");
+            self.packets.push(Some(packet));
+            self.next.push(NIL);
+            slot
+        } else {
+            let slot = self.free;
+            self.free = self.next[slot as usize];
+            self.packets[slot as usize] = Some(packet);
+            slot
+        }
+    }
+
+    /// Take the packet out of `slot` and free the slot.
+    // lint: hot
+    fn release(&mut self, slot: u32) -> T {
+        let packet = self.packets[slot as usize]
+            .take()
+            .expect("a queued or in-flight slot holds a packet");
+        self.next[slot as usize] = self.free;
+        self.free = slot;
+        packet
+    }
+
+    /// Append `slot` to `node`'s queue; returns the new length. A node
+    /// whose queue was empty joins the active list.
+    // lint: hot
+    fn enqueue(&mut self, node: u32, slot: u32) -> u32 {
+        let q = &mut self.queues[node as usize];
+        if q.len == 0 {
+            q.head = slot;
+            self.active.push(node);
+        } else {
+            self.next[q.tail as usize] = slot;
+        }
+        q.tail = slot;
+        q.len += 1;
+        q.len
     }
 
     /// Run until no packet remains queued or in flight. Returns statistics;
@@ -272,6 +344,7 @@ impl<T> Engine<T> {
     ///
     /// Panics when `max_cycles` is exceeded (a protocol bug, not a
     /// condition to handle).
+    // lint: hot
     pub fn run_until_quiet<B: Behavior<T>>(
         &mut self,
         topo: &Topology,
@@ -279,12 +352,9 @@ impl<T> Engine<T> {
         mut on_drop: impl FnMut(T, DropReason),
     ) -> RunStats {
         let mut stats = RunStats::default();
-        let mut spawned = std::mem::take(&mut self.spawn_scratch);
-        debug_assert!(spawned.is_empty());
 
         while !self.occupied.is_empty() || !self.active.is_empty() {
             if stats.cycles >= self.cfg.max_cycles {
-                self.spawn_scratch = spawned;
                 panic!(
                     "network did not quiesce within {} cycles (protocol livelock)",
                     self.cfg.max_cycles
@@ -292,89 +362,90 @@ impl<T> Engine<T> {
             }
             stats.cycles += 1;
 
-            // 1. Deliver in-flight packets (deterministic order). The
+            // 1. Deliver in-flight packets in ascending edge id. The
             //    delivery list ping-pongs with `occupied` so neither is
             //    reallocated in the steady state.
             let mut arriving =
                 std::mem::replace(&mut self.occupied, std::mem::take(&mut self.arrive_scratch));
             arriving.sort_unstable();
             for e in arriving.drain(..) {
-                if let Some(p) = self.links[e].take() {
-                    let (_, to) = topo.endpoints(e);
-                    if self.queues[to].len() >= self.cfg.queue_capacity {
-                        stats.dropped += 1;
-                        on_drop(p, DropReason::QueueFull);
-                    } else {
-                        self.queues[to].push_back(p);
-                        stats.max_queue = stats.max_queue.max(self.queues[to].len());
-                        self.mark_active(to);
-                    }
+                let slot = std::mem::replace(&mut self.links[e as usize], NIL);
+                let to = topo.dest(e as EdgeId) as u32;
+                if self.queues[to as usize].len as usize >= self.cfg.queue_capacity {
+                    stats.dropped += 1;
+                    on_drop(self.release(slot), DropReason::QueueFull);
+                } else {
+                    let len = self.enqueue(to, slot);
+                    stats.max_queue = stats.max_queue.max(len as usize);
                 }
             }
             self.arrive_scratch = arriving;
 
             // 2. Per active node (in index order), route queued packets.
-            //    One packet per out-edge per cycle; stalled packets keep
-            //    their FIFO position.
+            //    One packet per out-edge per cycle; a stalled packet is
+            //    re-linked into the node's emptied queue, so it keeps its
+            //    FIFO position.
             let mut round =
                 std::mem::replace(&mut self.active, std::mem::take(&mut self.round_scratch));
             round.sort_unstable();
-            for &node in &round {
-                self.is_active[node] = false;
-            }
             for node in round.drain(..) {
-                if self.queues[node].is_empty() {
-                    continue;
-                }
-                // Drain the node's queue into the kept-scratch deque, then
-                // swap the (now empty, capacity intact) queue buffer back
-                // into the scratch slot — FIFO order is preserved and no
-                // deque is reallocated.
-                let mut q = std::mem::take(&mut self.queues[node]);
-                let mut kept = std::mem::take(&mut self.kept_scratch);
-                debug_assert!(kept.is_empty());
-                while let Some(mut p) = q.pop_front() {
-                    match behavior.route(node, &mut p, topo) {
+                let queued = std::mem::take(&mut self.queues[node as usize]);
+                debug_assert!(queued.len > 0, "active nodes have queued packets");
+                let mut slot = queued.head;
+                for _ in 0..queued.len {
+                    let following = self.next[slot as usize];
+                    let packet = self.packets[slot as usize]
+                        .as_mut()
+                        .expect("a queued slot holds a packet");
+                    match behavior.route(node as NodeId, packet, topo) {
                         Route::Forward(e) => {
-                            debug_assert_eq!(topo.endpoints(e).0, node, "edge must leave node");
-                            if self.dead_links[e] {
-                                stats.link_faulted += 1;
-                                on_drop(p, DropReason::DeadLink);
-                            } else if self.links[e].is_none() {
-                                self.links[e] = Some(p);
-                                self.occupied.push(e);
-                                stats.hops += 1;
-                            } else {
-                                kept.push_back(p); // stalled: link busy this cycle
+                            debug_assert_eq!(
+                                topo.endpoints(e).0,
+                                node as NodeId,
+                                "edge must leave node"
+                            );
+                            match self.links[e] {
+                                DEAD => {
+                                    stats.link_faulted += 1;
+                                    on_drop(self.release(slot), DropReason::DeadLink);
+                                }
+                                NIL => {
+                                    self.links[e] = slot;
+                                    self.occupied.push(e as u32);
+                                    stats.hops += 1;
+                                }
+                                _ => {
+                                    // Stalled: link busy this cycle.
+                                    self.enqueue(node, slot);
+                                }
                             }
                         }
                         Route::Consume => {
                             stats.delivered += 1;
-                            if let Some(reply) = behavior.consume(node, p, topo) {
-                                spawned.push((node, reply));
+                            let packet = self.release(slot);
+                            if let Some(reply) = behavior.consume(node as NodeId, packet, topo) {
+                                let reply = self.store(reply);
+                                self.spawned.push((node, reply));
                             }
                         }
                         Route::Discard => {
                             stats.discarded += 1;
+                            self.release(slot);
                         }
                     }
+                    slot = following;
                 }
-                if !kept.is_empty() {
-                    self.mark_active(node);
-                }
-                self.queues[node] = kept;
-                self.kept_scratch = q;
             }
             self.round_scratch = round;
 
             // 3. Enqueue replies spawned this cycle (visible next cycle).
-            for (node, p) in spawned.drain(..) {
-                self.queues[node].push_back(p);
-                stats.max_queue = stats.max_queue.max(self.queues[node].len());
-                self.mark_active(node);
+            let mut spawned = std::mem::take(&mut self.spawned);
+            for (node, slot) in spawned.drain(..) {
+                let len = self.enqueue(node, slot);
+                stats.max_queue = stats.max_queue.max(len as usize);
             }
+            self.spawned = spawned;
         }
-        self.spawn_scratch = spawned;
         stats
     }
 }
@@ -400,7 +471,11 @@ mod tests {
             if node == p.dest {
                 Route::Consume
             } else {
-                Route::Forward(topo.out_edges(node)[0])
+                Route::Forward(
+                    topo.out_edges(node)
+                        .next()
+                        .expect("path node has an out-edge"),
+                )
             }
         }
         fn consume(&mut self, _node: NodeId, p: WalkPacket, _t: &Topology) -> Option<WalkPacket> {
@@ -612,7 +687,11 @@ mod tests {
         struct Spin;
         impl Behavior<u32> for Spin {
             fn route(&mut self, node: NodeId, _p: &mut u32, topo: &Topology) -> Route {
-                Route::Forward(topo.out_edges(node)[0])
+                Route::Forward(
+                    topo.out_edges(node)
+                        .next()
+                        .expect("cycle node has an out-edge"),
+                )
             }
             fn consume(&mut self, _n: NodeId, _p: u32, _t: &Topology) -> Option<u32> {
                 None
@@ -638,7 +717,8 @@ mod tests {
         assert_eq!(t.nodes(), 2);
         assert_eq!(t.edge_count(), 1);
         assert_eq!(t.endpoints(e), (n0, n1));
-        assert_eq!(t.out_edges(n0), &[e]);
+        assert!(t.out_edges(n0).eq([e]));
+        assert_eq!(t.dest(e), n1);
         assert_eq!(t.max_degree(), 1);
         let first = t.add_nodes(3);
         assert_eq!(first, 2);
@@ -688,5 +768,41 @@ mod tests {
         assert_eq!(b.got, 2);
         // Both depart cycle 1, arrive cycle 2, consumed cycle 2.
         assert_eq!(stats.cycles, 2);
+    }
+
+    /// A reply joins its node's queue at the end of the cycle, behind
+    /// the packets that stalled in that cycle — not in the slot of the
+    /// request it answers.
+    #[test]
+    fn replies_queue_behind_packets_stalled_in_the_same_cycle() {
+        let topo = line(2); // 0 -> 1
+        struct Reply {
+            got: Vec<u32>,
+        }
+        impl Behavior<u32> for Reply {
+            fn route(&mut self, node: NodeId, p: &mut u32, _t: &Topology) -> Route {
+                match (node, *p) {
+                    (0, 1) => Route::Consume,
+                    (0, _) => Route::Forward(0),
+                    _ => Route::Consume,
+                }
+            }
+            fn consume(&mut self, node: NodeId, p: u32, _t: &Topology) -> Option<u32> {
+                if node == 0 {
+                    return Some(10); // packet 1's reply
+                }
+                self.got.push(p);
+                None
+            }
+        }
+        let mut eng = Engine::new(&topo, EngineConfig::default());
+        for id in 0..3 {
+            eng.inject(0, id);
+        }
+        let mut b = Reply { got: vec![] };
+        eng.run_until_quiet(&topo, &mut b, |_, _| {});
+        // Cycle 1: 0 takes the link, 1 is answered, 2 stalls; the reply
+        // queues behind 2.
+        assert_eq!(b.got, vec![0, 2, 10]);
     }
 }

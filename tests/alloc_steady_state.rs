@@ -146,6 +146,56 @@ fn every_scheme_allocates_at_most_the_result_vector_per_step() {
     }
 }
 
+/// The routed 2DMOT schemes at serving size (n=16, m=64, E16's session
+/// shape) on *fresh* traffic: every step draws a new hotspot or uniform
+/// pattern instead of cycling a pool, so late steps route through nodes
+/// and links the warm-up never touched. The router keeps every packet in
+/// one slab with per-node intrusive queues, so nothing grows per node:
+/// after warm-up a step allocates only its `read_values` result.
+#[test]
+fn routed_schemes_allocate_only_the_result_vector_on_fresh_traffic() {
+    assert!(
+        counting::is_active(),
+        "counting allocator must be installed"
+    );
+    let (n, m) = (16usize, 64usize);
+    let (warm, steps) = (32usize, 64usize);
+    let zipf = workloads::Zipf::new(m, 1.2);
+    for kind in [SchemeKind::Hp2dmotLeaves, SchemeKind::Lpp2dmot] {
+        for hot in [true, false] {
+            let mut s = SimBuilder::new(n, m)
+                .kind(kind)
+                .seed(11)
+                .build()
+                .expect("serving-size regimes are feasible");
+            let mut rng = rng_from_seed(83);
+            let patterns: Vec<workloads::StepPattern> = (0..warm + steps)
+                .map(|_| {
+                    if hot {
+                        workloads::hotspot(n, &zipf, &mut rng)
+                    } else {
+                        workloads::uniform(n, m, 0.3, &mut rng)
+                    }
+                })
+                .collect();
+            for p in &patterns[..warm] {
+                s.access(&p.reads, &p.writes);
+            }
+            let before = counting::thread_allocations();
+            for p in &patterns[warm..] {
+                s.access(&p.reads, &p.writes);
+            }
+            let allocs = counting::thread_allocations() - before;
+            let traffic = if hot { "hotspot" } else { "uniform" };
+            assert!(
+                allocs <= steps as u64,
+                "{kind} on fresh {traffic} steps: expected ≤ 1 allocation per \
+                 access (the read_values result), got {allocs} over {steps} steps"
+            );
+        }
+    }
+}
+
 /// The routed 2DMOT schemes simulate every packet; keep their instances
 /// small (same policy as E15 and the golden snapshots).
 fn size_for(kind: SchemeKind) -> (usize, usize) {

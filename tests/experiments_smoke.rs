@@ -1,8 +1,9 @@
 //! Smoke tests: the experiment harness must run and report the expected
 //! qualitative outcomes (the "shape" claims of DESIGN.md §4).
 //!
-//! The heavyweight scaling experiments (E4/E5) are exercised at full size
-//! only by the `repro` binary; here we assert the cheap ones end-to-end.
+//! The heavyweight scaling experiment E4 is exercised at full size only by
+//! the `repro` binary; here we assert the cheap ones end-to-end, and pin
+//! E5's cycle table.
 
 use pram_bench::RunCtx;
 use pramsim::core::SchemeKind;
@@ -25,6 +26,31 @@ fn e3_lower_bound_shows_granularity_cliff() {
         out.contains("64.0"),
         "coarse r=1 must force ~n time:\n{out}"
     );
+}
+
+/// E5's table, captured before the flat-router rewrite. E5 is the only
+/// experiment that routes grids up to side 256, so it pins the cost
+/// model (cycles per step, both 2DMOT placements) where nothing else
+/// reaches. The seed is `repro`'s default, so this is `repro mot`'s
+/// table.
+const E5_TABLE: &str = r#"E5: Theorem 3 - measured network cycles per P-RAM step on the 2DMOT
+(memory at leaves = HP, memory at roots = LPP; uniform steps).
+n   m     HP side  HP r  HP cycles/step  LPP side  LPP r  LPP cycles/step
+-------------------------------------------------------------------------
+8   64    16       7     186.0           8         3      56.0
+16  256   32       7     237.7           16        5      120.7
+32  1024  128      7     326.3           32        7      243.7
+64  4096  256      7     370.3           64        7      341.7
+
+HP cycles fit a*(log2 n)^p: a=59.0, p=1.03, R2=0.99 (paper: O(log^2 n / log log n), i.e. p between 1 and 2)
+Same time shape for both; HP's redundancy stays constant while
+LPP's grows with log m - that contrast is the paper's point (see E9).
+"#;
+
+#[test]
+fn e5_motsim_table_is_pinned() {
+    let out = pram_bench::motsim::run(&RunCtx::seeded(pramsim::simrng::DEFAULT_SEED));
+    assert_eq!(out, E5_TABLE, "E5 drifted:\n{out}");
 }
 
 #[test]
@@ -215,31 +241,30 @@ fn e15_baseline_guard_passes_self_and_catches_regressions() {
 }
 
 #[test]
-fn e16_serve_emits_one_json_row_per_grid_point_and_skips_routed_schemes() {
-    // Quick mode, one flat scheme plus one routed scheme: the routed one
-    // must be excluded (and named), the flat one measured.
+fn e16_serve_emits_one_json_row_per_grid_point_including_routed_schemes() {
+    // Quick mode, one flat scheme plus one routed scheme: both are served
+    // and measured, one row per grid point each.
     let ctx = RunCtx::seeded(15)
         .with_schemes(vec![SchemeKind::HpDmmpc, SchemeKind::Hp2dmotLeaves])
         .with_quick(true);
     let rows = pram_bench::serve::rows(&ctx);
-    assert_eq!(rows.len(), 1, "quick grid is one point per flat scheme");
-    let r = &rows[0];
-    assert_eq!(r.scheme, "hp-dmmpc");
-    assert_eq!(r.shards, 2);
-    assert_eq!(r.sessions, 32);
-    assert!(r.steps_per_sec > 0.0, "{r:?}");
-    assert!(r.p99_us >= r.p50_us, "{r:?}");
+    assert_eq!(rows.len(), 2, "quick grid is one point per scheme");
+    for (r, scheme) in rows.iter().zip(["hp-dmmpc", "hp-2dmot"]) {
+        assert_eq!(r.scheme, scheme);
+        assert_eq!(r.shards, 2);
+        assert_eq!(r.sessions, 32);
+        assert!(r.steps_per_sec > 0.0, "{r:?}");
+        assert!(r.p99_us >= r.p50_us, "{r:?}");
+    }
+    // The routed scheme's sessions run the cycle-level protocol.
+    assert!(rows[1].stage1_cycles > 0, "{:?}", rows[1]);
     let out = pram_bench::serve::render(&rows, &ctx);
     assert_eq!(
         out.lines()
             .filter(|l| l.starts_with("{\"experiment\":\"E16\""))
             .count(),
-        1,
+        2,
         "one JSON row per grid point:\n{out}"
-    );
-    assert!(
-        out.contains("Excluded") && out.contains("hp-2dmot"),
-        "routed schemes must be named, not silently dropped:\n{out}"
     );
 }
 

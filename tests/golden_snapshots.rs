@@ -55,8 +55,7 @@ fn drive(mem: &mut dyn SharedMemory, n: usize, m: usize) -> u64 {
 }
 
 /// One healthy scheme after the golden workload, with its read hash.
-fn healthy_run(kind: SchemeKind) -> (Box<dyn Scheme>, u64) {
-    let (n, m) = size_for(kind);
+fn healthy_run(kind: SchemeKind, (n, m): (usize, usize)) -> (Box<dyn Scheme>, u64) {
     let mut s = SimBuilder::new(n, m)
         .kind(kind)
         .seed(GOLDEN_SEED)
@@ -67,9 +66,8 @@ fn healthy_run(kind: SchemeKind) -> (Box<dyn Scheme>, u64) {
 }
 
 /// One scheme's snapshot line: totals + final step + read hash.
-fn snapshot(kind: SchemeKind) -> String {
-    let (n, m) = size_for(kind);
-    let (s, hash) = healthy_run(kind);
+fn snapshot(kind: SchemeKind, (n, m): (usize, usize)) -> String {
+    let (s, hash) = healthy_run(kind, (n, m));
     let (tot, steps) = s.totals();
     format!(
         "{kind} n={n} m={m} steps={steps} req={} phases={} cycles={} \
@@ -85,8 +83,7 @@ fn snapshot(kind: SchemeKind) -> String {
 /// One faulty scheme's snapshot: the full `FaultReport` JSON, pinned
 /// byte-identical, plus the read hash. The slowdown baseline is the
 /// matching healthy snapshot run's phases.
-fn fault_snapshot(kind: SchemeKind) -> String {
-    let (n, m) = size_for(kind);
+fn fault_snapshot(kind: SchemeKind, (n, m): (usize, usize)) -> String {
     let plan = FaultPlan::modules(0.125)
         .with_message_drop(0.05)
         .with_link_fraction(0.02)
@@ -98,7 +95,7 @@ fn fault_snapshot(kind: SchemeKind) -> String {
         .build()
         .expect("golden fault regimes are feasible");
     let hash = drive(&mut s, n, m);
-    let healthy_phases = healthy_run(kind).0.totals().0.phases;
+    let healthy_phases = healthy_run(kind, (n, m)).0.totals().0.phases;
     format!(
         "readhash={hash:016x} {}",
         s.report().to_json(kind.name(), 0.125, healthy_phases)
@@ -144,7 +141,7 @@ const EXPECTED_FAULTY: [(&str, &str); 3] = [
 fn golden_scheme_snapshots() {
     let printing = std::env::var("GOLDEN").is_ok_and(|v| v == "print");
     for ((name, kind), expected) in GOLDEN.iter().zip(EXPECTED) {
-        let got = snapshot(*kind);
+        let got = snapshot(*kind, size_for(*kind));
         if printing {
             println!("    \"{got}\",");
         } else {
@@ -162,7 +159,7 @@ fn golden_fault_snapshots() {
     let printing = std::env::var("GOLDEN").is_ok_and(|v| v == "print");
     for (name, expected) in EXPECTED_FAULTY {
         let kind: SchemeKind = name.parse().expect("golden kinds parse");
-        let got = fault_snapshot(kind);
+        let got = fault_snapshot(kind, size_for(kind));
         if printing {
             println!("    (\"{name}\", \"{got}\"),");
         } else {
@@ -175,15 +172,54 @@ fn golden_fault_snapshots() {
     );
 }
 
+/// The routed schemes at serving size (n=16, m=64), healthy and faulted.
+/// The n=8 `hp-2dmot` row above never kills an attempt; at n=16 the same
+/// seed and drive contend for columns, so only these rows pin column
+/// admission (and, faulted, admission racing dead links).
+const EXPECTED_ROUTED_N16: [(SchemeKind, &str, &str); 2] = [
+    (
+        SchemeKind::Hp2dmotLeaves,
+        "hp-2dmot n=16 m=64 steps=12 req=192 phases=180 cycles=5088 messages=72792 readhash=b4074b2488200504 last=StepReport { requests: 16, phases: 15, cycles: 423, messages: 6006, protocol: ProtocolStats { stage1_phases: 11, stage2_phases: 0, cycles: 423, messages: 6006, stage1_cycles: 423, stage1_messages: 6006, stage1_leftover: 0, killed_attempts: 11, dead_attempts: 0, failed_requests: 0, copies_accessed: 165 } }",
+        r#"readhash=54be2389153ac033 {"experiment":"E14","scheme":"hp-2dmot","f":0.125000,"dead_modules":8,"dead_processors":0,"dead_links":646,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":102,"recovered_ida":0,"unserved_requests":0,"dead_attempts":236,"dropped_messages":42,"faulty_phases":5124,"baseline_phases":180,"read_survival":1.000000,"slowdown":28.4667}"#,
+    ),
+    (
+        SchemeKind::Lpp2dmot,
+        "lpp-2dmot n=16 m=64 steps=12 req=192 phases=113 cycles=1179 messages=8944 readhash=f09681e2e1db6ec5 last=StepReport { requests: 16, phases: 9, cycles: 91, messages: 696, protocol: ProtocolStats { stage1_phases: 5, stage2_phases: 0, cycles: 91, messages: 696, stage1_cycles: 91, stage1_messages: 696, stage1_leftover: 0, killed_attempts: 14, dead_attempts: 0, failed_requests: 0, copies_accessed: 40 } }",
+        r#"readhash=2c8b798ec0a018d9 {"experiment":"E14","scheme":"lpp-2dmot","f":0.125000,"dead_modules":2,"dead_processors":0,"dead_links":39,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":68,"recovered_ida":0,"unserved_requests":0,"dead_attempts":94,"dropped_messages":9,"faulty_phases":1719,"baseline_phases":113,"read_survival":1.000000,"slowdown":15.2124}"#,
+    ),
+];
+
+#[test]
+fn golden_routed_snapshots_at_serving_size() {
+    let printing = std::env::var("GOLDEN").is_ok_and(|v| v == "print");
+    for (kind, healthy, faulted) in EXPECTED_ROUTED_N16 {
+        let got = snapshot(kind, (16, 64));
+        let got_faulted = fault_snapshot(kind, (16, 64));
+        if printing {
+            println!("    (SchemeKind::{kind:?}, \"{got}\", r#\"{got_faulted}\"#),");
+        } else {
+            assert_eq!(got, healthy, "{kind} n=16 snapshot drifted");
+            assert_eq!(got_faulted, faulted, "{kind} n=16 fault snapshot drifted");
+        }
+    }
+    assert!(
+        !printing,
+        "GOLDEN=print captures snapshots; unset it to assert"
+    );
+}
+
 /// Service-level goldens: shard session trace hashes (the Wei et
 /// al.-style verifiable artifact `cr-serve` exposes), pinned across the
-/// IDA/hashed data-plane flattening. Captured from the pre-rewrite
-/// engine: a drifting hash here means a served session observed
-/// different read values or step costs than before the rewrite.
-const EXPECTED_TRACES: [(SchemeKind, &str); 3] = [
+/// IDA/hashed data-plane flattening (the flat schemes) and the flat
+/// packet-slab router (the 2DMOT schemes). Each was captured from the
+/// engine before its rewrite: a drifting hash here means a served
+/// session observed different read values or step costs than before.
+const EXPECTED_TRACES: [(SchemeKind, &str); 5] = [
     (SchemeKind::Ida, "21e7db2ca3247d11"),
     (SchemeKind::HpDmmpc, "a1278dc2e6a6acf1"),
     (SchemeKind::Hashed, "7517e0fc1da75b89"),
+    (SchemeKind::Hp2dmotLeaves, "a6834108c9b4d5a1"),
+    (SchemeKind::Lpp2dmot, "e16a1ff5f85076d2"),
 ];
 
 #[test]
@@ -212,9 +248,13 @@ fn golden_session_trace_hashes() {
 /// of the same scheme produce the same snapshot string.
 #[test]
 fn snapshots_are_reproducible() {
-    assert_eq!(snapshot(SchemeKind::HpDmmpc), snapshot(SchemeKind::HpDmmpc));
+    let size = size_for(SchemeKind::HpDmmpc);
     assert_eq!(
-        fault_snapshot(SchemeKind::HpDmmpc),
-        fault_snapshot(SchemeKind::HpDmmpc)
+        snapshot(SchemeKind::HpDmmpc, size),
+        snapshot(SchemeKind::HpDmmpc, size)
+    );
+    assert_eq!(
+        fault_snapshot(SchemeKind::HpDmmpc, size),
+        fault_snapshot(SchemeKind::HpDmmpc, size)
     );
 }
