@@ -28,8 +28,12 @@
 //! Throughput comes from batching at every layer (DESIGN.md §11): `STEPN`
 //! batches steps into one command, [`ServiceHandle::step_many`] pipelines
 //! commands across shards before collecting replies, each shard worker
-//! drains a burst of queued commands per wakeup, and the TCP loop batches
-//! reply flushes while a client's pipelined window is still buffered.
+//! drains a burst of queued commands per wakeup, and the TCP loop
+//! enqueues a client's whole pipelined window on the shards before it
+//! awaits any reply, then writes the replies in frame order with one
+//! flush. A single call, a `step_many` batch and a TCP round all enqueue
+//! through one path, so a shard that stops mid-batch answers the batch
+//! `shard down` instead of hanging it.
 //!
 //! Observability (DESIGN.md §10) is built in: every shard records into
 //! preregistered `cr-obs` counters/gauges/histograms (one registry,

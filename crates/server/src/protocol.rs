@@ -37,7 +37,7 @@ use std::time::Duration;
 use crate::error::ServeError;
 use crate::service::ServiceApi;
 use crate::session::{SessionSpec, SessionStats, StepSummary, WorkloadSpec};
-use crate::shard::{OpenInfo, TraceInfo, VerifyInfo, VerifySummary};
+use crate::shard::{OpenInfo, Reply, ShardCmd, TraceInfo, VerifyInfo, VerifySummary};
 
 /// One parsed client command.
 #[derive(Debug, Clone, PartialEq)]
@@ -414,30 +414,103 @@ pub fn render_err(e: &ServeError) -> String {
     format!("ERR {e}")
 }
 
-/// Execute one parsed frame against any [`ServiceApi`] implementation;
-/// `None` means QUIT. The TCP front end passes a [`crate::ServiceHandle`];
-/// `cr-sim` passes its single-threaded simulated service — one executor,
-/// one reply grammar, whatever is behind it.
-pub fn execute<A: ServiceApi>(handle: &mut A, frame: Frame) -> Option<String> {
-    let out = match frame {
-        Frame::Open(spec) => handle.open(spec).map(|i| render_open(&i)),
+/// Where one parsed frame is answered: by one shard, or by the service
+/// as a whole.
+#[derive(Debug)]
+pub(crate) enum Route {
+    /// A session frame (`OPEN`, `STEP`/`STEPN`, `STATS`, `TRACE`,
+    /// `VERIFY <sid>`, `CLOSE`, `EVENTS <sid>`): one command for the
+    /// shard that owns its session.
+    Shard(usize, ShardCmd),
+    /// Bare `VERIFY`: every shard's summary, merged.
+    VerifyAll,
+    /// Bare `EVENTS`: every shard's ring, merged.
+    EventsAll,
+    /// `INFO`: read from the registry.
+    Info,
+    /// `METRICS`: read from the registry.
+    Metrics,
+    /// `PING`.
+    Ping,
+    /// `QUIT`.
+    Quit,
+}
+
+/// Route one parsed frame. `OPEN` takes its session id here, so a frame
+/// for that id routed later lands on the same shard queue behind it.
+pub(crate) fn route<A: ServiceApi>(api: &mut A, frame: Frame) -> Route {
+    let (sid, cmd) = match frame {
+        Frame::Open(spec) => {
+            let sid = api.next_sid();
+            (sid, ShardCmd::Open { sid, spec })
+        }
         Frame::Step {
             sid,
             workload,
             count,
-        } => handle.step(sid, workload, count).map(|s| render_step(&s)),
-        Frame::Stats(sid) => handle.stats(sid).map(|s| render_stats(&s)),
-        Frame::Trace(sid) => handle.trace(sid).map(|t| render_trace(&t)),
-        Frame::Verify(Some(sid)) => handle.verify(sid).map(|v| render_verify(&v)),
-        Frame::Verify(None) => handle.verify_all().map(|s| render_verify_summary(&s)),
-        Frame::Close(sid) => handle.close(sid).map(|t| render_close(&t)),
-        Frame::Info => Ok(render_info(handle.registry())),
-        Frame::Metrics => Ok(render_metrics(&handle.registry().render())),
-        Frame::Events(sid) => handle.events(sid).map(|evs| render_events(&evs)),
-        Frame::Ping => Ok("OK pong".to_string()),
-        Frame::Quit => return None,
+        } => (
+            sid,
+            ShardCmd::Step {
+                sid,
+                workload,
+                count,
+            },
+        ),
+        Frame::Stats(sid) => (sid, ShardCmd::Stats { sid }),
+        Frame::Trace(sid) => (sid, ShardCmd::Trace { sid }),
+        Frame::Verify(Some(sid)) => (sid, ShardCmd::Verify { sid: Some(sid) }),
+        Frame::Close(sid) => (sid, ShardCmd::Close { sid }),
+        Frame::Events(Some(sid)) => (sid, ShardCmd::Events { sid: Some(sid) }),
+        Frame::Verify(None) => return Route::VerifyAll,
+        Frame::Events(None) => return Route::EventsAll,
+        Frame::Info => return Route::Info,
+        Frame::Metrics => return Route::Metrics,
+        Frame::Ping => return Route::Ping,
+        Frame::Quit => return Route::Quit,
+    };
+    Route::Shard(api.shard_of(sid), cmd)
+}
+
+/// Render one shard's reply (or its failure) as a reply line. A
+/// one-session `EVENTS` reply needs no merge: its events all carry the
+/// one sid, in the owning shard's order.
+pub(crate) fn render_reply(reply: Result<Reply, ServeError>) -> String {
+    match reply {
+        Ok(Reply::Open(info)) => render_open(&info),
+        Ok(Reply::Step(sum)) => render_step(&sum),
+        Ok(Reply::Stats(st)) => render_stats(&st),
+        Ok(Reply::Trace(t)) => render_trace(&t),
+        Ok(Reply::Close(t)) => render_close(&t),
+        Ok(Reply::Events(evs)) => render_events(&evs),
+        Ok(Reply::Verify(info)) => render_verify(&info),
+        Ok(Reply::VerifySummary(sum)) => render_verify_summary(&sum),
+        Err(e) => render_err(&e),
+    }
+}
+
+/// Answer one routed frame, waiting for its shard if it has one; `None`
+/// means QUIT.
+pub(crate) fn answer<A: ServiceApi>(api: &mut A, route: Route) -> Option<String> {
+    let out = match route {
+        Route::Shard(shard, cmd) => return Some(render_reply(api.call(shard, cmd))),
+        Route::VerifyAll => api.verify_all().map(|s| render_verify_summary(&s)),
+        Route::EventsAll => api.events(None).map(|evs| render_events(&evs)),
+        Route::Info => Ok(render_info(api.registry())),
+        Route::Metrics => Ok(render_metrics(&api.registry().render())),
+        Route::Ping => Ok("OK pong".to_string()),
+        Route::Quit => return None,
     };
     Some(out.unwrap_or_else(|e| render_err(&e)))
+}
+
+/// Execute one parsed frame against any [`ServiceApi`] implementation;
+/// `None` means QUIT. `cr-sim` and in-process callers run frames one at
+/// a time through here; the TCP front end routes a whole pipelined
+/// window before it collects the replies, and renders them with the
+/// same functions — one reply grammar, whatever driver is behind it.
+pub fn execute<A: ServiceApi>(api: &mut A, frame: Frame) -> Option<String> {
+    let route = route(api, frame);
+    answer(api, route)
 }
 
 #[cfg(test)]

@@ -306,6 +306,29 @@ impl ServiceHandle {
         &self.registry
     }
 
+    /// Enqueue `cmd` on `shard`'s worker queue (blocking while it is
+    /// full) with `reply_tx` as the channel its reply goes back on. The
+    /// one enqueue path: [`ServiceApi::call`], [`ServiceHandle::step_many`]
+    /// and the TCP front end's pipelined rounds all submit through it.
+    /// The sender moves into the job, so a caller that keeps no clone of
+    /// its own sees the reply channel close, not hang, if the shard
+    /// stops before answering.
+    // lint: hot
+    pub(crate) fn submit(
+        &self,
+        shard: usize,
+        cmd: ShardCmd,
+        reply_tx: ChanTx<Result<Reply, ServeError>>,
+    ) -> Result<(), ServeError> {
+        let link = self.shards.get(shard).ok_or(ServeError::ShardDown)?;
+        link.queue_depth.add(1);
+        if link.tx.send(Some((cmd, reply_tx))).is_err() {
+            link.queue_depth.sub(1);
+            return Err(ServeError::ShardDown);
+        }
+        Ok(())
+    }
+
     /// Drive `count` steps of `workload` through every session in `sids`,
     /// issuing all commands before collecting any reply — the in-process
     /// pipelining behind batched load generation and the serve bench.
@@ -324,27 +347,21 @@ impl ServiceHandle {
         count: u64,
     ) -> Result<BatchStepSummary, ServeError> {
         let (reply_tx, reply_rx) = chan(sids.len().max(1));
-        let mut sent = 0usize;
         for &sid in sids {
-            let link = self
-                .shards
-                .get(self.shard_of(sid))
-                .ok_or(ServeError::ShardDown)?;
-            link.queue_depth.add(1);
             let cmd = ShardCmd::Step {
                 sid,
                 workload: workload.clone(), // lint: allow(hot-alloc, one spec clone per command - amortised over the batch)
                 count,
             };
-            let job = (cmd, reply_tx.clone()); // lint: allow(hot-alloc, channel-handle refcount bump - no heap allocation)
-            if link.tx.send(Some(job)).is_err() {
-                link.queue_depth.sub(1);
-                return Err(ServeError::ShardDown);
-            }
-            sent += 1;
+            let tx = reply_tx.clone(); // lint: allow(hot-alloc, channel-handle refcount bump - no heap allocation)
+            self.submit(self.shard_of(sid), cmd, tx)?;
         }
+        // Only the queued jobs may hold senders while collecting: a shard
+        // that stops with part of the batch queued then closes the
+        // channel instead of leaving `recv` waiting forever.
+        drop(reply_tx);
         let mut sum = BatchStepSummary::default();
-        for _ in 0..sent {
+        for _ in sids {
             match reply_rx.recv().map_err(|_| ServeError::ShardDown)? {
                 Ok(Reply::Step(s)) => {
                     sum.commands += 1;
@@ -510,17 +527,88 @@ impl ServiceApi for ServiceHandle {
     /// it is full) with a private capacity-1 reply channel, then wait
     /// for the worker's reply.
     fn call(&mut self, shard: usize, cmd: ShardCmd) -> Result<Reply, ServeError> {
-        let link = self.shards.get(shard).ok_or(ServeError::ShardDown)?;
         let (reply_tx, reply_rx) = chan(1);
-        link.queue_depth.add(1);
-        if link.tx.send(Some((cmd, reply_tx))).is_err() {
-            link.queue_depth.sub(1);
-            return Err(ServeError::ShardDown);
-        }
+        self.submit(shard, cmd, reply_tx)?;
         reply_rx.recv().map_err(|_| ServeError::ShardDown)?
     }
 
     fn registry(&self) -> &Registry {
         ServiceHandle::registry(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{parse, route, Route};
+    use crate::runtime::{sleep, spawn, ChanRx, RecvWait};
+    use crate::tcp::Round;
+
+    /// A one-shard handle over a queue the test holds in place of a
+    /// worker, and that queue's depth gauge.
+    fn detached_handle() -> (ServiceHandle, ChanRx<Job>, Gauge) {
+        let (cores, registry) = build_cores(&ServiceConfig::with_shards(1));
+        let depth = cores[0].queue_depth_gauge();
+        let (tx, rx) = chan(8);
+        let handle = ServiceHandle {
+            shards: Arc::new(vec![ShardLink {
+                tx,
+                queue_depth: depth.clone(),
+            }]),
+            next_sid: Arc::new(AtomicU64::new(1)),
+            registry: Arc::new(registry),
+        };
+        (handle, rx, depth)
+    }
+
+    /// Run `wait` on its own thread until three commands are queued,
+    /// stop the shard by dropping its queue (and with it the queued
+    /// jobs' reply senders), and return what `wait` returned within 2 s.
+    fn stop_shard_under<T: Send + 'static>(
+        wait: impl FnOnce(ServiceHandle) -> T + Send + 'static,
+    ) -> Result<T, RecvWait> {
+        let (handle, queue, depth) = detached_handle();
+        let (done_tx, done_rx) = chan(1);
+        let waiter = spawn("stop-shard-waiter", move || {
+            let _ = done_tx.send(wait(handle));
+        })
+        .unwrap();
+        for _ in 0..2000 {
+            if depth.get() >= 3 {
+                break;
+            }
+            sleep(Duration::from_millis(1));
+        }
+        assert_eq!(depth.get(), 3, "three commands queued");
+        drop(queue);
+        let out = done_rx.recv_for(Duration::from_secs(2));
+        if out.is_ok() {
+            waiter.join();
+        }
+        out
+    }
+
+    #[test]
+    fn a_shard_that_stops_mid_batch_fails_the_batch_instead_of_hanging() {
+        let batch = stop_shard_under(|h| h.step_many(&[1, 2, 3], &WorkloadSpec::Uniform, 1));
+        assert_eq!(batch, Ok(Err(ServeError::ShardDown)));
+
+        // A pipelined TCP round collects the same way.
+        let round = stop_shard_under(|mut h| {
+            let mut round = Round::new(1);
+            for line in ["STEPN 1 1", "STATS 1", "OPEN 8 64 hashed"] {
+                match route(&mut h, parse(line).unwrap()) {
+                    Route::Shard(shard, cmd) => round.submit(&h, shard, cmd),
+                    other => panic!("{line} routed to {other:?}"),
+                }
+            }
+            let mut out = Vec::new();
+            round.write_to(&mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        });
+        assert_eq!(
+            round,
+            Ok("ERR shard down\nERR shard down\nERR shard down\n".to_string())
+        );
     }
 }

@@ -13,12 +13,21 @@
 //! field, so this loop needs no special casing — clients read the header
 //! line, then exactly that many more lines.
 //!
-//! The loop supports pipelining: clients may send a window of frames
-//! without waiting, and replies come back one line per frame, in order.
-//! Replies go through a [`BufWriter`] that is flushed only when the read
-//! buffer holds no further complete frame — a pipelined window costs one
-//! write syscall, while a ping-pong client still sees every reply flushed
-//! before the loop blocks on the socket again.
+//! Clients may pipeline: send a window of frames without waiting, and
+//! get one reply line per frame, in frame order. The loop dispatches a
+//! window as a **round**. Each session frame is enqueued on its shard as
+//! soon as it is parsed (`OPEN` takes its sid at that moment, so a later
+//! frame for the new session queues behind it on the same shard), and a
+//! parse error takes its reply slot at once. Shards work through a
+//! round in parallel; each answers its queue in FIFO order, so the round
+//! needs one reply channel per shard it touched. A service-level frame
+//! (`INFO`, `METRICS`, `PING`, `QUIT`, bare `VERIFY`, bare `EVENTS`)
+//! first collects the round, so it sees every earlier frame of the
+//! connection executed. The round is collected, written in frame order
+//! and flushed once when the read buffer holds no further complete
+//! frame, or when 64 frames (a private cap) are outstanding — the loop
+//! never blocks on the socket while replies are outstanding, and a
+//! ping-pong client is answered before the loop reads again.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -26,12 +35,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::protocol::{execute, parse};
-use crate::runtime::{self, TaskHandle};
-use crate::service::ServiceHandle;
+use crate::error::ServeError;
+use crate::protocol::{answer, parse, render_reply, route, Route};
+use crate::runtime::{self, chan, ChanRx, ChanTx, TaskHandle};
+use crate::service::{ServiceApi, ServiceHandle};
+use crate::shard::{Reply, ShardCmd};
 
 /// Longest accepted frame line (bytes, including the newline).
 pub const MAX_FRAME: u64 = 64 * 1024;
+
+/// Most frames one connection dispatches before it collects their
+/// replies. Every reply channel of a round holds this many, so a shard
+/// never blocks answering one.
+const MAX_IN_FLIGHT: usize = 64;
 
 /// How often blocked socket reads / the accept loop re-check shutdown.
 const POLL: Duration = Duration::from_millis(50);
@@ -112,6 +128,100 @@ fn accept_loop(listener: TcpListener, handle: ServiceHandle, stop: Arc<AtomicBoo
     }
 }
 
+type ReplyTx = ChanTx<Result<Reply, ServeError>>;
+type ReplyRx = ChanRx<Result<Reply, ServeError>>;
+
+/// One reply of a round, in frame order.
+enum Slot {
+    /// Rendered: a parse error, a refused enqueue, a service-level reply.
+    Ready(String),
+    /// Enqueued on this shard; its reply is the next one due on the
+    /// round's channel for that shard.
+    Pending(usize),
+}
+
+/// The frames a connection has dispatched and not yet answered.
+pub(crate) struct Round {
+    slots: Vec<Slot>,
+    /// Per shard, this round's reply channel: made on the round's first
+    /// frame for the shard, dropped when the round is collected.
+    senders: Vec<Option<ReplyTx>>,
+    receivers: Vec<Option<ReplyRx>>,
+}
+
+impl Round {
+    pub(crate) fn new(shards: usize) -> Round {
+        Round {
+            slots: Vec::with_capacity(MAX_IN_FLIGHT),
+            senders: (0..shards).map(|_| None).collect(),
+            receivers: (0..shards).map(|_| None).collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Append an already rendered reply.
+    fn ready(&mut self, reply: String) {
+        self.slots.push(Slot::Ready(reply));
+    }
+
+    /// Enqueue `cmd` on `shard` without waiting for its reply.
+    pub(crate) fn submit(&mut self, handle: &ServiceHandle, shard: usize, cmd: ShardCmd) {
+        let (Some(tx), Some(rx)) = (self.senders.get_mut(shard), self.receivers.get_mut(shard))
+        else {
+            return self.ready(render_reply(Err(ServeError::ShardDown)));
+        };
+        let tx = tx.get_or_insert_with(|| {
+            let (tx, new_rx) = chan(MAX_IN_FLIGHT);
+            *rx = Some(new_rx);
+            tx
+        });
+        match handle.submit(shard, cmd, tx.clone()) {
+            Ok(()) => self.slots.push(Slot::Pending(shard)),
+            Err(e) => self.ready(render_reply(Err(e))),
+        }
+    }
+
+    /// Wait for every pending reply and render it into its slot. The
+    /// round drops its own senders first: a shard that stops mid-round
+    /// closes its channel, and the frames it never answered read
+    /// `ERR shard down`.
+    fn collect(&mut self) {
+        self.senders.iter_mut().for_each(|tx| *tx = None);
+        for slot in &mut self.slots {
+            if let Slot::Pending(shard) = *slot {
+                let reply = match self.receivers.get(shard).and_then(Option::as_ref) {
+                    Some(rx) => rx.recv().unwrap_or(Err(ServeError::ShardDown)),
+                    None => Err(ServeError::ShardDown),
+                };
+                *slot = Slot::Ready(render_reply(reply));
+            }
+        }
+        self.receivers.iter_mut().for_each(|rx| *rx = None);
+    }
+
+    /// Collect the round and write its replies in frame order, one line
+    /// each; the round is empty afterwards.
+    pub(crate) fn write_to(&mut self, out: &mut impl Write) -> std::io::Result<()> {
+        self.collect();
+        for slot in self.slots.drain(..) {
+            if let Slot::Ready(reply) = slot {
+                out.write_all(reply.as_bytes())?;
+                out.write_all(b"\n")?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Write whatever `round` still holds and flush it.
+fn flush_round(round: &mut Round, writer: &mut BufWriter<TcpStream>) -> std::io::Result<()> {
+    round.write_to(writer)?;
+    writer.flush()
+}
+
 fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<AtomicBool>) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
@@ -121,12 +231,22 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
+    let mut round = Round::new(handle.shards());
     // Partial lines survive read timeouts: `buf` accumulates until a
     // newline (or EOF) completes the frame. Each read may only fill what
     // is left of the cap, so a line whose bytes straddle a timeout is
     // capped as a whole.
     let mut buf: Vec<u8> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
+        // Answer the round before a read could block: once no further
+        // complete frame is buffered, or the round is full. A read with
+        // a newline buffered never reaches the socket.
+        if round.len() > 0
+            && (round.len() >= MAX_IN_FLIGHT || !reader.buffer().contains(&b'\n'))
+            && flush_round(&mut round, &mut writer).is_err()
+        {
+            return;
+        }
         let mut at_eof = false;
         let room = MAX_FRAME.saturating_sub(buf.len() as u64);
         match (&mut reader).take(room).read_until(b'\n', &mut buf) {
@@ -134,9 +254,7 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
             Ok(0) => at_eof = true,            // final line without newline
             Ok(_) if !buf.ends_with(b"\n") => {
                 if buf.len() as u64 >= MAX_FRAME {
-                    let _ = writer.write_all(b"ERR frame exceeds 64KiB\n");
-                    let _ = writer.flush();
-                    return;
+                    break;
                 }
                 at_eof = true; // read_until returned short of EOF: stream end
             }
@@ -146,9 +264,7 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if buf.len() as u64 >= MAX_FRAME {
-                    let _ = writer.write_all(b"ERR frame exceeds 64KiB\n");
-                    let _ = writer.flush();
-                    return;
+                    break;
                 }
                 continue; // idle or mid-line: keep the partial frame, re-check stop
             }
@@ -156,40 +272,34 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
         }
         let line = String::from_utf8_lossy(&buf);
         let line = line.trim();
-        let reply = if line.is_empty() {
-            None
-        } else {
+        if !line.is_empty() {
             match parse(line) {
-                Ok(frame) => match execute(&mut handle, frame) {
-                    Some(reply) => Some(reply),
-                    None => {
-                        let _ = writer.write_all(b"OK bye\n");
-                        let _ = writer.flush();
-                        return;
+                Err(msg) => round.ready(format!("ERR {msg}")),
+                Ok(frame) => match route(&mut handle, frame) {
+                    Route::Shard(shard, cmd) => round.submit(&handle, shard, cmd),
+                    service => {
+                        round.collect();
+                        match answer(&mut handle, service) {
+                            Some(reply) => round.ready(reply),
+                            None => {
+                                round.ready("OK bye".to_string());
+                                at_eof = true;
+                            }
+                        }
                     }
                 },
-                Err(msg) => Some(format!("ERR {msg}")),
-            }
-        };
-        buf.clear();
-        if let Some(reply) = reply {
-            if writer
-                .write_all(reply.as_bytes())
-                .and_then(|_| writer.write_all(b"\n"))
-                .is_err()
-            {
-                return;
-            }
-            // Pipelining seam: while the read buffer already holds the
-            // next complete frame, keep the reply buffered — the whole
-            // window flushes in one syscall once the client would
-            // actually have to wait for it.
-            if !reader.buffer().contains(&b'\n') && writer.flush().is_err() {
-                return;
             }
         }
+        buf.clear();
         if at_eof {
+            let _ = flush_round(&mut round, &mut writer);
             return;
         }
     }
+    // The frame cap was hit, or the server is stopping: answer what was
+    // already dispatched, then say why the connection ends.
+    if buf.len() as u64 >= MAX_FRAME {
+        round.ready("ERR frame exceeds 64KiB".to_string());
+    }
+    let _ = flush_round(&mut round, &mut writer);
 }

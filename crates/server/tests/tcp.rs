@@ -1,10 +1,13 @@
 //! TCP front-end tests: the full frame grammar over a real socket,
-//! malformed-frame robustness, and multi-connection isolation.
+//! malformed-frame robustness, multi-connection isolation, and the edges
+//! of a pipelined window (QUIT, half-close, an oversized frame, a stopped
+//! service).
 
 use cr_serve::tcp::Server;
 use cr_serve::{Service, ServiceApi, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
 
 struct Client {
     reader: BufReader<TcpStream>,
@@ -24,9 +27,21 @@ impl Client {
         self.writer
             .write_all(format!("{line}\n").as_bytes())
             .unwrap();
+        self.read_line()
+    }
+
+    /// The next reply line; empty once the server has closed the
+    /// connection.
+    fn read_line(&mut self) -> String {
         let mut reply = String::new();
         self.reader.read_line(&mut reply).unwrap();
         reply.trim_end().to_string()
+    }
+
+    /// Write `frames` as one burst, one line each.
+    fn send_window(&mut self, frames: &[String]) {
+        let bytes: String = frames.iter().map(|f| format!("{f}\n")).collect();
+        self.writer.write_all(bytes.as_bytes()).unwrap();
     }
 
     /// Round-trip a command whose reply header announces `lines=K`
@@ -34,13 +49,7 @@ impl Client {
     fn roundtrip_multi(&mut self, line: &str) -> (String, Vec<String>) {
         let header = self.roundtrip(line);
         let count: usize = field(&header, "lines").parse().expect("lines= count");
-        let payload = (0..count)
-            .map(|_| {
-                let mut l = String::new();
-                self.reader.read_line(&mut l).unwrap();
-                l.trim_end().to_string()
-            })
-            .collect();
+        let payload = (0..count).map(|_| self.read_line()).collect();
         (header, payload)
     }
 }
@@ -275,4 +284,103 @@ fn tcp_trace_matches_in_process_trace() {
     service.shutdown();
 
     assert_eq!(tcp_trace, format!("{direct:016x}"));
+}
+
+/// Open a session over `c` and return its sid.
+fn open_session(c: &mut Client) -> String {
+    let open = c.roundtrip("OPEN 8 64 hashed seed=11");
+    field(&open, "sid").to_string()
+}
+
+/// `QUIT` inside a pipelined window: every earlier frame is answered,
+/// then `OK bye`, and nothing after it runs.
+#[test]
+fn quit_mid_window_answers_earlier_frames_and_runs_nothing_after() {
+    let (service, server) = boot(2);
+    let mut c = Client::connect(server.local_addr());
+    let sid = open_session(&mut c);
+    c.send_window(&[
+        format!("STEPN {sid} 2"),
+        "PING".to_string(),
+        format!("STEPN {sid} 3"),
+        "QUIT".to_string(),
+        format!("STEPN {sid} 5"),
+        format!("CLOSE {sid}"),
+    ]);
+    assert_eq!(field(&c.read_line(), "executed"), "2");
+    assert_eq!(c.read_line(), "OK pong");
+    assert_eq!(field(&c.read_line(), "executed"), "3");
+    assert_eq!(c.read_line(), "OK bye");
+    assert_eq!(c.read_line(), "", "the connection is closed after QUIT");
+    let mut d = Client::connect(server.local_addr());
+    assert_eq!(field(&d.roundtrip(&format!("STATS {sid}")), "steps"), "5");
+    server.shutdown();
+    service.shutdown();
+}
+
+/// A client that writes its window and then half-closes still gets a
+/// reply to every frame before the server closes its side.
+#[test]
+fn half_closed_client_gets_every_reply() {
+    let (service, server) = boot(2);
+    let mut c = Client::connect(server.local_addr());
+    let sid = open_session(&mut c);
+    let mut window: Vec<String> = (0..8).map(|_| format!("STEPN {sid} 1")).collect();
+    window.push(format!("TRACE {sid}"));
+    c.send_window(&window);
+    c.writer.shutdown(Shutdown::Write).unwrap();
+    for i in 0..8 {
+        assert_eq!(field(&c.read_line(), "steps"), (i + 1).to_string());
+    }
+    assert_eq!(field(&c.read_line(), "steps"), "8");
+    assert_eq!(c.read_line(), "", "closed after the last reply");
+    server.shutdown();
+    service.shutdown();
+}
+
+/// An oversized frame behind pipelined frames: their replies come
+/// first, then the frame-cap error, then the disconnect.
+#[test]
+fn oversized_frame_after_a_window_is_answered_after_the_window() {
+    let (service, server) = boot(2);
+    let mut c = Client::connect(server.local_addr());
+    let sid = open_session(&mut c);
+    c.send_window(&[
+        "PING".to_string(),
+        format!("STEPN {sid} 4"),
+        format!("STEP 1 raw r={}", "9,".repeat(50_000)),
+    ]);
+    assert_eq!(c.read_line(), "OK pong");
+    assert_eq!(field(&c.read_line(), "executed"), "4");
+    assert_eq!(c.read_line(), "ERR frame exceeds 64KiB");
+    server.shutdown();
+    service.shutdown();
+}
+
+/// Frames sent on a live connection after the service stopped are each
+/// answered `ERR shard down`; the connection keeps serving what needs
+/// no shard.
+#[test]
+fn frames_after_service_shutdown_get_shard_down() {
+    let (service, server) = boot(2);
+    let mut c = Client::connect(server.local_addr());
+    c.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let sid = open_session(&mut c);
+    service.shutdown();
+    let window = [
+        format!("STEPN {sid} 1"),
+        format!("STATS {sid}"),
+        "OPEN 8 64 hashed".to_string(),
+        format!("VERIFY {sid}"),
+        format!("CLOSE {sid}"),
+    ];
+    c.send_window(&window);
+    for frame in &window {
+        assert_eq!(c.read_line(), "ERR shard down", "{frame}");
+    }
+    assert_eq!(c.roundtrip("PING"), "OK pong");
+    server.shutdown();
 }

@@ -11,12 +11,19 @@
 //! byte-identical replies on the threaded [`Service`] and on the
 //! [`SimService`]: the two drivers share every verb and every shard core,
 //! so the simulator is a byte-for-byte check on the threaded service.
+//! The check holds over the wire too: written as one burst to a
+//! [`Server`], the frames are dispatched as a pipelined round, and every
+//! reply line still matches the simulator's.
+//!
 //! A crashed simulated shard must answer `ERR shard down` until it
 //! restarts, and come back empty.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use cr_serve::protocol::{execute, parse};
+use cr_serve::tcp::Server;
 use cr_serve::{Service, ServiceApi, ServiceConfig, SimClock};
 use cr_sim::SimService;
 
@@ -99,14 +106,73 @@ fn manual_config(shards: usize) -> ServiceConfig {
     }
 }
 
+/// A frame the parser rejects, sent between [`SCRIPT`] and [`PROBES`].
+const MALFORMED: &str = "STEPN 2 many";
+
 /// Execute one frame; every frame here has a reply.
 fn exec<A: ServiceApi>(api: &mut A, line: &str) -> String {
     execute(api, parse(line).expect("frame parses")).expect("not QUIT")
 }
 
-/// Every reply to [`SCRIPT`] then [`PROBES`], in order.
+/// [`SCRIPT`], [`MALFORMED`], then [`PROBES`].
+fn burst() -> Vec<&'static str> {
+    SCRIPT
+        .iter()
+        .chain([&MALFORMED])
+        .chain(&PROBES)
+        .copied()
+        .collect()
+}
+
+/// Every reply to [`burst`], in order, one frame at a time. A frame the
+/// parser rejects gets the reply the wire gives it.
 fn replies<A: ServiceApi>(api: &mut A) -> Vec<String> {
-    SCRIPT.iter().chain(&PROBES).map(|l| exec(api, l)).collect()
+    burst()
+        .into_iter()
+        .map(|line| match parse(line) {
+            Ok(frame) => execute(api, frame).expect("not QUIT"),
+            Err(msg) => format!("ERR {msg}"),
+        })
+        .collect()
+}
+
+/// Every reply to [`burst`], written to a TCP front end as one write;
+/// a reply is its header line plus the `lines=` payload lines it
+/// announces.
+fn wire_replies(shards: usize) -> Vec<String> {
+    let service = Service::start(manual_config(shards)).expect("spawn shard workers");
+    let server = Server::bind("127.0.0.1:0", service.handle()).expect("bind ephemeral port");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect to test server");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    let frames = burst();
+    let bytes: String = frames.iter().map(|l| format!("{l}\n")).collect();
+    (&stream).write_all(bytes.as_bytes()).expect("write burst");
+    let mut reader = BufReader::new(&stream);
+    let mut read_line = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply line");
+        line.trim_end_matches('\n').to_string()
+    };
+    let replies = frames
+        .iter()
+        .map(|_| {
+            let mut reply = read_line();
+            let payload = reply
+                .split_ascii_whitespace()
+                .find_map(|tok| tok.strip_prefix("lines="))
+                .map_or(0, |k| k.parse::<usize>().expect("lines= count"));
+            for _ in 0..payload {
+                reply.push('\n');
+                reply.push_str(&read_line());
+            }
+            reply
+        })
+        .collect();
+    server.shutdown();
+    service.shutdown();
+    replies
 }
 
 #[test]
@@ -115,12 +181,19 @@ fn threaded_and_simulated_drivers_reply_with_the_same_bytes() {
         let service = Service::start(manual_config(shards)).expect("spawn shard workers");
         let threaded = replies(&mut service.handle());
         service.shutdown();
+        let wire = wire_replies(shards);
         let simulated = replies(&mut SimService::new(&manual_config(shards)));
-        assert_eq!(threaded.len(), SCRIPT.len() + PROBES.len());
-        for (i, line) in SCRIPT.iter().chain(&PROBES).enumerate() {
+        assert_eq!(simulated.len(), SCRIPT.len() + 1 + PROBES.len());
+        for (i, line) in burst().into_iter().enumerate() {
             assert_eq!(threaded[i], simulated[i], "{line} at {shards} shards");
+            assert_eq!(wire[i], simulated[i], "{line} over TCP at {shards} shards");
         }
-        let tail = &simulated[SCRIPT.len()..];
+        assert_eq!(
+            simulated[SCRIPT.len()],
+            "ERR k: not a number: many",
+            "{MALFORMED}"
+        );
+        let tail = &simulated[SCRIPT.len() + 1..];
         assert!(tail[..8].iter().all(|r| r.starts_with("OK ")), "{tail:?}");
         assert_eq!(tail[8], "ERR unknown session 99");
         assert!(tail[5].lines().count() > SCRIPT.len(), "{}", tail[5]);
