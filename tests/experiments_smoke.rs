@@ -174,6 +174,52 @@ fn e14_faults_emits_one_json_row_per_scheme_fraction_pair() {
     );
 }
 
+/// E14's `json:` block at `repro`'s default seed, as one FNV-1a hash
+/// per placement: `repro faults` and `repro --fault-mode adversarial
+/// faults`. Captured before the dead-module and message-drop rules moved
+/// from an executor decorator into the cluster protocol; every row of
+/// every kind must survive such a move byte for byte. To print the
+/// hashes: `GOLDEN=print cargo test --test experiments_smoke e14_json --
+/// --nocapture`.
+const E14_JSON: [(pramsim::faults::Placement, &str); 2] = [
+    (pramsim::faults::Placement::Random, "a14bf914512c043b"),
+    (pramsim::faults::Placement::Adversarial, "87858995ddc8e2dd"),
+];
+
+#[test]
+fn e14_json_block_is_pinned_for_both_placements() {
+    use pramsim::simrng::{fnv1a, DEFAULT_SEED, FNV_OFFSET};
+    let printing = std::env::var("GOLDEN").is_ok_and(|v| v == "print");
+    for (placement, expected) in E14_JSON {
+        let ctx = RunCtx {
+            fault_placement: placement,
+            ..RunCtx::seeded(DEFAULT_SEED)
+        };
+        let out = pram_bench::faults::run(&ctx);
+        let (_, json) = out
+            .split_once("\njson:\n")
+            .expect("E14 ends in a json block");
+        assert_eq!(
+            json.lines().count(),
+            SchemeKind::ALL.len() * pram_bench::faults::FRACTIONS.len()
+        );
+        let mut hash = FNV_OFFSET;
+        for byte in json.bytes() {
+            fnv1a(&mut hash, u64::from(byte));
+        }
+        let got = format!("{hash:016x}");
+        if printing {
+            println!("    (pramsim::faults::Placement::{placement:?}, \"{got}\"),");
+        } else {
+            assert_eq!(got, expected, "E14 {placement} json block drifted:\n{json}");
+        }
+    }
+    assert!(
+        !printing,
+        "GOLDEN=print captures hashes; unset it to assert"
+    );
+}
+
 #[test]
 fn e15_throughput_emits_one_json_row_per_sweep_point() {
     // Quick mode, two schemes: one sweep point each.

@@ -122,7 +122,11 @@ const EXPECTED: [&str; 6] = [
     "ida n=16 m=256 steps=12 req=192 phases=67 cycles=67 messages=1260 readhash=37f1ad528bf902f1 last=StepReport { requests: 16, phases: 6, cycles: 6, messages: 105, protocol: ProtocolStats { stage1_phases: 0, stage2_phases: 0, cycles: 0, messages: 0, stage1_cycles: 0, stage1_messages: 0, stage1_leftover: 0, killed_attempts: 0, dead_attempts: 0, failed_requests: 0, copies_accessed: 0 } }",
 ];
 
-const EXPECTED_FAULTY: [(&str, &str); 3] = [
+const EXPECTED_FAULTY: [(&str, &str); 5] = [
+    (
+        "uw-mpc",
+        r#"readhash=e1496fa6b3fc9d75 {"experiment":"E14","scheme":"uw-mpc","f":0.125000,"dead_modules":2,"dead_processors":0,"dead_links":0,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":85,"recovered_ida":0,"unserved_requests":0,"dead_attempts":134,"dropped_messages":25,"faulty_phases":156,"baseline_phases":141,"read_survival":1.000000,"slowdown":1.1064}"#,
+    ),
     (
         "hp-dmmpc",
         r#"readhash=d1d689571dc28950 {"experiment":"E14","scheme":"hp-dmmpc","f":0.125000,"dead_modules":8,"dead_processors":0,"dead_links":0,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":126,"recovered_ida":0,"unserved_requests":0,"dead_attempts":385,"dropped_messages":114,"faulty_phases":228,"baseline_phases":228,"read_survival":1.000000,"slowdown":1.0000}"#,
@@ -130,6 +134,10 @@ const EXPECTED_FAULTY: [(&str, &str); 3] = [
     (
         "hp-2dmot",
         r#"readhash=fa9b8b084be89dd4 {"experiment":"E14","scheme":"hp-2dmot","f":0.125000,"dead_modules":8,"dead_processors":0,"dead_links":646,"lost_cells":0,"steps":12,"reads":72,"writes":24,"correct_reads":72,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":68,"recovered_ida":0,"unserved_requests":0,"dead_attempts":162,"dropped_messages":26,"faulty_phases":3036,"baseline_phases":132,"read_survival":1.000000,"slowdown":23.0000}"#,
+    ),
+    (
+        "hashed",
+        r#"readhash=20afd54cb528da61 {"experiment":"E14","scheme":"hashed","f":0.125000,"dead_modules":8,"dead_processors":0,"dead_links":0,"lost_cells":34,"steps":12,"reads":132,"writes":60,"correct_reads":112,"stale_reads":0,"lost_reads":20,"unserved_reads":0,"lost_writes":13,"recovered_majority":0,"recovered_ida":0,"unserved_requests":0,"dead_attempts":0,"dropped_messages":0,"faulty_phases":22,"baseline_phases":22,"read_survival":0.848485,"slowdown":1.0000}"#,
     ),
     (
         "ida",
@@ -210,38 +218,59 @@ fn golden_routed_snapshots_at_serving_size() {
 
 /// Service-level goldens: shard session trace hashes (the Wei et
 /// al.-style verifiable artifact `cr-serve` exposes), pinned across the
-/// IDA/hashed data-plane flattening (the flat schemes) and the flat
-/// packet-slab router (the 2DMOT schemes). Each was captured from the
-/// engine before its rewrite: a drifting hash here means a served
-/// session observed different read values or step costs than before.
-const EXPECTED_TRACES: [(SchemeKind, &str); 5] = [
-    (SchemeKind::Ida, "21e7db2ca3247d11"),
-    (SchemeKind::HpDmmpc, "a1278dc2e6a6acf1"),
-    (SchemeKind::Hashed, "7517e0fc1da75b89"),
-    (SchemeKind::Hp2dmotLeaves, "a6834108c9b4d5a1"),
-    (SchemeKind::Lpp2dmot, "e16a1ff5f85076d2"),
+/// IDA/hashed data-plane flattening (the flat schemes), the flat
+/// packet-slab router (the 2DMOT schemes) and the move of the fault
+/// rules into the cluster protocol (the `faults=0.125` sessions, which
+/// run each kind on a machine with an eighth of its modules dead). Each
+/// was captured from the engine before its rewrite: a drifting hash here
+/// means a served session observed different read values or step costs
+/// than before. To print the block: `GOLDEN=print cargo test --test
+/// golden_snapshots golden_session_trace_hashes -- --nocapture`.
+const EXPECTED_TRACES: [(SchemeKind, f64, &str); 12] = [
+    (SchemeKind::Ida, 0.0, "21e7db2ca3247d11"),
+    (SchemeKind::HpDmmpc, 0.0, "a1278dc2e6a6acf1"),
+    (SchemeKind::Hashed, 0.0, "7517e0fc1da75b89"),
+    (SchemeKind::Hp2dmotLeaves, 0.0, "a6834108c9b4d5a1"),
+    (SchemeKind::Lpp2dmot, 0.0, "e16a1ff5f85076d2"),
+    (SchemeKind::UwMpc, 0.0, "a070bad20b8ef739"),
+    (SchemeKind::UwMpc, 0.125, "13992dbf4815080e"),
+    (SchemeKind::HpDmmpc, 0.125, "392cea59002c1b47"),
+    (SchemeKind::Hp2dmotLeaves, 0.125, "e960cad5b83403be"),
+    (SchemeKind::Lpp2dmot, 0.125, "c1d123125cdf3c23"),
+    (SchemeKind::Hashed, 0.125, "7a8d66f0dda19143"),
+    (SchemeKind::Ida, 0.125, "21e7db2ca3247d11"),
 ];
 
 #[test]
 fn golden_session_trace_hashes() {
     use pramsim::serve::{Service, ServiceApi, ServiceConfig, SessionSpec, WorkloadSpec};
+    let printing = std::env::var("GOLDEN").is_ok_and(|v| v == "print");
     let svc = Service::start(ServiceConfig::with_shards(2)).expect("spawn shard workers");
     let mut h = svc.handle();
-    for (kind, expected) in EXPECTED_TRACES {
-        let open = h
-            .open(SessionSpec::new(16, 256, kind).seed(GOLDEN_SEED))
-            .expect("golden session opens");
+    for (kind, faults, expected) in EXPECTED_TRACES {
+        let spec = SessionSpec::new(16, 256, kind)
+            .seed(GOLDEN_SEED)
+            .faults(faults);
+        let open = h.open(spec).expect("golden session opens");
         h.step(open.sid, WorkloadSpec::Uniform, 12)
             .expect("golden session steps");
         let t = h.close(open.sid).expect("golden session closes");
         assert_eq!(t.steps, 12);
-        assert_eq!(
-            format!("{:016x}", t.trace),
-            expected,
-            "{kind} session trace drifted"
-        );
+        let got = format!("{:016x}", t.trace);
+        if printing {
+            println!("    (SchemeKind::{kind:?}, {faults:?}, \"{got}\"),");
+        } else {
+            assert_eq!(
+                got, expected,
+                "{kind} faults={faults} session trace drifted"
+            );
+        }
     }
     svc.shutdown();
+    assert!(
+        !printing,
+        "GOLDEN=print captures snapshots; unset it to assert"
+    );
 }
 
 /// The snapshot harness itself must be deterministic: two fresh drives
