@@ -183,8 +183,8 @@ impl PhaseExecutor for MotExec {
         for s in &self.bufs.served {
             outcome[s.payload] = AttemptOutcome::Served;
         }
-        // Link-faulted attempts are also Killed, not Dead: the dead link
-        // is permanent, but the *route* is not — the protocol rotates the
+        // Link-faulted attempts are also Killed: the dead link is
+        // permanent, but the *route* is not — the protocol rotates the
         // issuing cluster member, so a retry of the same copy from a
         // different source root can route around the fault. Copies that
         // are unreachable from every source exhaust the protocol's stage-2
@@ -292,7 +292,7 @@ mod tests {
         let mut ex = MotExec::leaves(8);
         // Kill root 0's row-tree down-links: attempts issued *from source
         // root 0* cannot route — but the same copy retried from another
-        // root could, so the outcome is Killed (retry), never Dead.
+        // root could, so the outcome is Killed (retry).
         let root = ex.network().topology().root(0);
         let dead: Vec<_> = ex.network().topology().graph().out_edges(root).collect();
         ex.network_mut().fail_links(&dead);

@@ -10,11 +10,16 @@
 //! 3. reads take the max-timestamp value over their quorum — correct,
 //!    because any read quorum intersects every earlier write quorum;
 //! 4. writes stamp their quorum with the step number.
+//!
+//! On a faulty machine ([`MajorityScheme::set_unavailable`]) the protocol
+//! writes off copies in dead modules and retries dropped replies, so a
+//! quorum forms from the surviving copies.
 
 use crate::config::SchemeConfig;
 use crate::protocol::{
     run_protocol, CopyPlacement, PhaseExecutor, ProtocolStats, ProtocolWorkspace,
 };
+use crate::scheme::FaultTotals;
 use memdist::{Clusters, MemoryMap, ReplicatedStore};
 use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
 
@@ -101,6 +106,37 @@ impl<E: PhaseExecutor, P: CopyPlacement> MajorityScheme<E, P> {
     /// The executor (for interconnect-specific diagnostics).
     pub fn executor(&self) -> &E {
         &self.exec
+    }
+
+    /// The executor, mutably (fault injection kills links in a
+    /// `MotExec`'s network).
+    pub fn executor_mut(&mut self) -> &mut E {
+        &mut self.exec
+    }
+
+    /// Mark modules dead and let the network drop replies (fault
+    /// injection). `dead[j]` means contention unit `j` no longer answers:
+    /// the protocol writes a copy there off where it issues it. Each
+    /// served reply is lost with probability `message_drop`, drawn from
+    /// `drop_seed`, and retried. See [`ProtocolWorkspace::set_faults`].
+    pub fn set_unavailable(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
+        assert_eq!(
+            dead.len(),
+            self.map.modules(),
+            "mask must cover every module"
+        );
+        self.ws.set_faults(dead, message_drop, drop_seed);
+    }
+
+    /// Running fault counters, `None` on a healthy machine (see
+    /// [`crate::Scheme::fault_counters`]). Dead attempts are the
+    /// protocol's own count.
+    pub fn fault_counters(&self) -> Option<FaultTotals> {
+        self.ws.faulty().then(|| FaultTotals {
+            dead_attempts: self.total.protocol.dead_attempts,
+            dropped_messages: self.ws.dropped_messages(),
+            dead_modules: self.ws.dead_modules() as u64,
+        })
     }
 
     /// Report for the most recent step.

@@ -31,9 +31,24 @@
 //! per-cluster request index. A scheme reuses one workspace across every
 //! step, so the steady-state protocol path performs **zero heap
 //! allocations** — verified by `tests/alloc_steady_state.rs`.
+//!
+//! ## Faults
+//!
+//! The machine knows which of its modules are dead (the static-fault
+//! model of Chlebus, Gąsieniec and Pelc), so the protocol applies the
+//! fault rules itself, for every interconnect
+//! ([`ProtocolWorkspace::set_faults`], DESIGN.md §6):
+//!
+//! * a copy in a **dead module** is issued like any other — it takes a
+//!   cluster member and costs one request message — but is written off
+//!   where it is issued and never reaches the executor. A phase whose
+//!   attempts were all written off still costs one cycle;
+//! * a **dropped message** loses a served reply: the attempt counts as
+//!   killed and is retried, so drops cost phases, not data.
 
 use memdist::{Clusters, MemoryMap};
 use pram_machine::StepCost;
+use simrng::{rng_from_seed, Rng, Xoshiro256pp};
 
 /// One copy-access attempt issued in a phase.
 ///
@@ -58,17 +73,17 @@ pub struct CopyAttempt {
     pub src: u32,
 }
 
-/// What happened to one copy attempt in a phase.
+/// What happened to one copy attempt in a phase. (An attempt at a dead
+/// module never gets this far: the protocol writes its copy off as it
+/// issues it.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttemptOutcome {
     /// The attempt reached its module; the copy was accessed.
     Served,
     /// The attempt lost a transient race (module contention, queue
-    /// overflow, dropped message) — the protocol retries it next phase.
+    /// overflow, a dead link on its route, dropped message) — the
+    /// protocol retries it next phase.
     Killed,
-    /// The attempt hit a **permanent** fault (dead module, dead link):
-    /// retrying can never succeed, so the protocol writes the copy off.
-    Dead,
 }
 
 /// Resolves one phase of copy attempts against the machine's interconnect.
@@ -90,11 +105,11 @@ pub trait PhaseExecutor {
     ) -> StepCost;
 
     /// Whether this executor can lose work for reasons other than
-    /// contention (fault injection: dead modules, dead links, message
-    /// drops). On a `false` executor the protocol's progress guarantee
-    /// holds, so exceeding the stage-2 budget is a protocol bug and
-    /// panics; on a `true` executor it is an expected degraded outcome
-    /// and the step aborts gracefully instead.
+    /// contention (fault injection: dead links). On a `false` executor
+    /// with no [faults](ProtocolWorkspace::set_faults) in force the
+    /// protocol's progress guarantee holds, so exceeding the stage-2
+    /// budget is a protocol bug and panics; otherwise it is an expected
+    /// degraded outcome and the step aborts gracefully instead.
     fn lossy(&self) -> bool {
         false
     }
@@ -194,6 +209,9 @@ impl CopyPlacement for GridPlacement {
 /// After a step, the quorums live here: [`accessed`](Self::accessed)
 /// returns the copy indices each request reached, in service order —
 /// what the old API returned as a fresh `Vec<Vec<usize>>` per step.
+///
+/// The workspace also carries the machine's faults across steps
+/// ([`set_faults`](Self::set_faults)); a new workspace is healthy.
 #[derive(Debug, Default)]
 pub struct ProtocolWorkspace {
     /// Requests in the prepared step.
@@ -232,6 +250,38 @@ pub struct ProtocolWorkspace {
     place_row: Vec<u32>,
     /// Whether request `i`'s placements are cached yet this step.
     placed: Vec<bool>,
+    /// `dead[j]`: module `j` is dead. Empty when no module is, so a
+    /// healthy machine never looks a module up.
+    dead: Vec<bool>,
+    /// Dead modules in `dead`.
+    dead_modules: usize,
+    /// Loss of served replies; `None` on a reliable network.
+    drops: Option<ReplyDrops>,
+}
+
+/// The network's transient fault: each served reply is lost with
+/// probability `rate`, a seeded draw made in attempt order.
+#[derive(Debug)]
+struct ReplyDrops {
+    rate: f64,
+    rng: Xoshiro256pp,
+    /// Replies lost so far.
+    dropped: u64,
+}
+
+impl ReplyDrops {
+    /// Lose served replies. The issuing processor cannot tell a lost
+    /// reply from a collision, so the copy counts as killed and is
+    /// retried; the store is only updated for served attempts, so no
+    /// state diverges.
+    fn apply(&mut self, outcome: &mut [AttemptOutcome]) {
+        for out in outcome {
+            if *out == AttemptOutcome::Served && self.rng.chance(self.rate) {
+                *out = AttemptOutcome::Killed;
+                self.dropped += 1;
+            }
+        }
+    }
 }
 
 impl ProtocolWorkspace {
@@ -275,6 +325,38 @@ impl ProtocolWorkspace {
         self.placed.resize(len, false);
     }
 
+    /// Put the machine's faults under the protocol (see the module docs):
+    /// `dead[j]` kills module `j` for good, and each served reply is lost
+    /// with probability `message_drop`, drawn from `drop_seed`. An
+    /// all-false mask and a zero rate leave the machine healthy.
+    pub fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
+        self.dead_modules = dead.iter().filter(|&&d| d).count();
+        self.dead.clear();
+        if self.dead_modules > 0 {
+            self.dead.extend_from_slice(dead);
+        }
+        self.drops = (message_drop > 0.0).then(|| ReplyDrops {
+            rate: message_drop,
+            rng: rng_from_seed(drop_seed),
+            dropped: 0,
+        });
+    }
+
+    /// Whether any fault is in force.
+    pub(crate) fn faulty(&self) -> bool {
+        self.dead_modules > 0 || self.drops.is_some()
+    }
+
+    /// Dead modules in force.
+    pub(crate) fn dead_modules(&self) -> usize {
+        self.dead_modules
+    }
+
+    /// Served replies the network has lost so far.
+    pub(crate) fn dropped_messages(&self) -> u64 {
+        self.drops.as_ref().map_or(0, |d| d.dropped)
+    }
+
     /// Requests in the last prepared step.
     pub fn requests(&self) -> usize {
         self.len
@@ -313,6 +395,8 @@ struct StepState<'a, P: CopyPlacement> {
     place_module: &'a mut [u32],
     place_row: &'a mut [u32],
     placed: &'a mut [bool],
+    dead: &'a [bool],
+    drops: Option<&'a mut ReplyDrops>,
 }
 
 impl<P: CopyPlacement> StepState<'_, P> {
@@ -337,7 +421,55 @@ impl<P: CopyPlacement> StepState<'_, P> {
     ) -> bool {
         // Total phases so far — rotates the member↔copy assignment below.
         let phase = stats.stage1_phases + stats.stage2_phases;
+        // Only a machine with dead modules looks up each attempt's module:
+        // the choice is made here, once per phase.
+        let written_off = if self.dead.is_empty() {
+            self.issue::<false>(phase)
+        } else {
+            self.issue::<true>(phase)
+        };
+        // Each written-off copy still sent its request message.
+        stats.messages += written_off;
+        stats.dead_attempts += written_off;
+        if self.attempts.is_empty() {
+            // Nothing reached the executor. With copies written off, the
+            // requests still went out and timed out: the phase took a
+            // cycle. Otherwise everything is done (or written off).
+            stats.cycles += u64::from(written_off > 0);
+            return written_off > 0;
+        }
+        let cost = exec.execute(self.attempts, pipeline, self.outcome);
+        debug_assert_eq!(self.outcome.len(), self.attempts.len());
+        if let Some(drops) = self.drops.as_deref_mut() {
+            drops.apply(self.outcome);
+        }
+        stats.cycles += cost.cycles;
+        stats.messages += cost.messages;
+        for (a, &out) in self.attempts.iter().zip(self.outcome.iter()) {
+            let (req, copy) = (a.req as usize, a.copy as usize);
+            match out {
+                AttemptOutcome::Served => {
+                    stats.copies_accessed += 1;
+                    // Record even past c: extra accessed copies strengthen
+                    // the quorum at no additional cost.
+                    self.accessed[req * self.r + self.accessed_len[req] as usize] = copy;
+                    self.accessed_len[req] += 1;
+                    self.accessed_mask[req * self.words + copy / 64] |= 1 << (copy % 64);
+                }
+                AttemptOutcome::Killed => stats.killed_attempts += 1,
+            }
+        }
+        true
+    }
+
+    /// Build the phase's attempt batch: each cluster's next live request
+    /// attempts every copy it has neither accessed nor written off. With
+    /// `DEAD`, a copy in a dead module is written off where it is issued
+    /// instead of joining the batch. Returns the copies written off.
+    // lint: hot
+    fn issue<const DEAD: bool>(&mut self, phase: u64) -> u64 {
         self.attempts.clear();
+        let mut written_off = 0;
         for k in 0..self.clusters.count() {
             let reqs = &self.cluster_reqs
                 [self.cluster_start[k] as usize..self.cluster_start[k + 1] as usize];
@@ -368,7 +500,7 @@ impl<P: CopyPlacement> StepState<'_, P> {
                     self.place_row[i * self.r + copy] = row as u32;
                 }
             }
-            // One cluster member per live copy. The assignment rotates
+            // One cluster member per untried copy. The assignment rotates
             // with the phase counter: a copy retried in a later phase is
             // issued by a *different* cluster member, so a route blocked
             // by a dead link for one source is retried around the fault
@@ -382,71 +514,41 @@ impl<P: CopyPlacement> StepState<'_, P> {
                 .members(self.clusters.cluster_of(self.requests[i].0));
             let mlen = members.len();
             let mut member = phase as usize;
-            let mut issue = |copy: usize, member: usize| {
-                self.attempts.push(CopyAttempt {
-                    req: i as u32,
-                    var: var as u32,
-                    copy: copy as u32,
-                    module: self.place_module[i * self.r + copy],
-                    row: self.place_row[i * self.r + copy],
-                    src: (members.start + member % mlen) as u32,
-                });
-            };
-            if self.words == 1 {
-                // Fast path (r ≤ 64, every configured scheme): one busy
-                // word, iterate set bits of its complement.
-                let busy = self.accessed_mask[i] | self.dead_mask[i];
-                let all = if self.r == 64 {
+            // The untried copies, one 64-copy word at a time (one word for
+            // every configured scheme: r ≤ 64).
+            for w in 0..self.words {
+                let slot = i * self.words + w;
+                let width = self.r - 64 * w;
+                let all = if width >= 64 {
                     u64::MAX
                 } else {
-                    (1u64 << self.r) - 1
+                    (1u64 << width) - 1
                 };
-                let mut free = !busy & all;
+                let mut free = !(self.accessed_mask[slot] | self.dead_mask[slot]) & all;
                 while free != 0 {
-                    let copy = free.trailing_zeros() as usize;
+                    let bit = free.trailing_zeros() as usize;
                     free &= free - 1;
-                    issue(copy, member);
-                    member += 1;
-                }
-            } else {
-                for copy in 0..self.r {
-                    let w = i * self.words + copy / 64;
-                    let bit = 1u64 << (copy % 64);
-                    if (self.accessed_mask[w] | self.dead_mask[w]) & bit != 0 {
-                        continue;
+                    let copy = 64 * w + bit;
+                    let module = self.place_module[i * self.r + copy];
+                    if DEAD && self.dead[module as usize] {
+                        self.dead_mask[slot] |= 1 << bit;
+                        self.dead_count[i] += 1;
+                        written_off += 1;
+                    } else {
+                        self.attempts.push(CopyAttempt {
+                            req: i as u32,
+                            var: var as u32,
+                            copy: copy as u32,
+                            module,
+                            row: self.place_row[i * self.r + copy],
+                            src: (members.start + member % mlen) as u32,
+                        });
                     }
-                    issue(copy, member);
                     member += 1;
                 }
             }
         }
-        if self.attempts.is_empty() {
-            return false; // everything done (or written off)
-        }
-        let cost = exec.execute(self.attempts, pipeline, self.outcome);
-        debug_assert_eq!(self.outcome.len(), self.attempts.len());
-        stats.cycles += cost.cycles;
-        stats.messages += cost.messages;
-        for (a, &out) in self.attempts.iter().zip(self.outcome.iter()) {
-            let (req, copy) = (a.req as usize, a.copy as usize);
-            match out {
-                AttemptOutcome::Served => {
-                    stats.copies_accessed += 1;
-                    // Record even past c: extra accessed copies strengthen
-                    // the quorum at no additional cost.
-                    self.accessed[req * self.r + self.accessed_len[req] as usize] = copy;
-                    self.accessed_len[req] += 1;
-                    self.accessed_mask[req * self.words + copy / 64] |= 1 << (copy % 64);
-                }
-                AttemptOutcome::Killed => stats.killed_attempts += 1,
-                AttemptOutcome::Dead => {
-                    stats.dead_attempts += 1;
-                    self.dead_mask[req * self.words + copy / 64] |= 1 << (copy % 64);
-                    self.dead_count[req] += 1;
-                }
-            }
-        }
-        true
+        written_off
     }
 }
 
@@ -458,8 +560,8 @@ impl<P: CopyPlacement> StepState<'_, P> {
 ///   [`ProtocolWorkspace::accessed`] lists, per request, the copy indices
 ///   accessed. On a fault-free machine every request reaches `≥ c`
 ///   copies, so a write quorum / read majority is always available; under
-///   fault injection an executor may report attempts [`AttemptOutcome::Dead`],
-///   and a request whose viable copies run out below `c` ends short-quorum
+///   faults, copies in dead modules are written off, and a request whose
+///   viable copies run out below `c` ends short-quorum
 ///   (counted in [`ProtocolStats::failed_requests`] — the caller degrades
 ///   to best-effort over whatever was accessed).
 ///
@@ -483,6 +585,7 @@ pub fn run_protocol<E: PhaseExecutor>(
     if requests.is_empty() {
         return stats;
     }
+    let faulty = ws.faulty();
 
     // Requests of each cluster, as a counting-sorted CSR index (request
     // order within a cluster matches insertion order, exactly as the old
@@ -524,6 +627,8 @@ pub fn run_protocol<E: PhaseExecutor>(
         place_module: &mut ws.place_module,
         place_row: &mut ws.place_row,
         placed: &mut ws.placed,
+        dead: &ws.dead,
+        drops: ws.drops.as_mut(),
     };
 
     // Stage 1: bounded, serialized module service.
@@ -543,17 +648,17 @@ pub fn run_protocol<E: PhaseExecutor>(
     // fault-free machine every phase with work serves at least one attempt
     // (the first per module), so at most c·|requests| further phases
     // occur and exceeding the generous guard below is a protocol bug —
-    // panic, exactly as before fault injection existed. Only a `lossy()`
-    // executor (fault injection: message drops can stall progress
-    // indefinitely) is allowed to abort the step instead: the leftover
-    // requests simply end short-quorum and are counted as failed below,
-    // the honest degraded outcome.
+    // panic, exactly as before fault injection existed. Only a faulty
+    // machine (message drops can stall progress indefinitely) or a
+    // `lossy()` executor is allowed to abort the step instead: the
+    // leftover requests simply end short-quorum and are counted as failed
+    // below, the honest degraded outcome.
     let guard = 4 * c as u64 * requests.len() as u64 + 16;
     while state.run_phase(exec, &mut stats, stage2_pipeline) {
         stats.stage2_phases += 1;
         if stats.stage2_phases > guard {
             assert!(
-                exec.lossy(),
+                faulty || exec.lossy(),
                 "stage 2 failed to make progress (protocol bug)"
             );
             break;
@@ -564,7 +669,7 @@ pub fn run_protocol<E: PhaseExecutor>(
         .filter(|&i| ws.accessed_len[i] < c as u32)
         .count();
     debug_assert!(
-        stats.failed_requests == 0 || exec.lossy(),
+        stats.failed_requests == 0 || faulty || exec.lossy(),
         "a fault-free run must reach quorum on every request"
     );
     stats
@@ -576,9 +681,11 @@ mod tests {
     use crate::executors::BipartiteExec;
     use memdist::MemoryMap;
 
-    /// Run one protocol step in a fresh workspace; returns the quorums as
-    /// owned lists (test convenience — production callers read them out
-    /// of their long-lived workspace).
+    /// Run one protocol step in a fresh workspace whose modules `dead[j]`
+    /// are dead (`&[]`: none); returns the quorums as owned lists (test
+    /// convenience — production callers read them out of their
+    /// long-lived workspace).
+    #[allow(clippy::too_many_arguments)]
     fn run_step<E: PhaseExecutor>(
         requests: &[(usize, usize)],
         clusters: &Clusters,
@@ -587,8 +694,10 @@ mod tests {
         map: &MemoryMap,
         exec: &mut E,
         stage1_phases: usize,
+        dead: &[bool],
     ) -> (Vec<Vec<usize>>, ProtocolStats) {
         let mut ws = ProtocolWorkspace::new();
+        ws.set_faults(dead, 0.0, 0);
         let stats = run_protocol(
             requests,
             clusters,
@@ -618,7 +727,7 @@ mod tests {
         let map = MemoryMap::random(m, modules, r, 42);
         let clusters = Clusters::new(n, r);
         let mut exec = BipartiteExec::new(modules);
-        run_step(requests, &clusters, c, r, &map, &mut exec, 4)
+        run_step(requests, &clusters, c, r, &map, &mut exec, 4, &[])
     }
 
     #[test]
@@ -663,7 +772,7 @@ mod tests {
         let clusters = Clusters::new(n, r);
         let mut exec = BipartiteExec::new(64);
         let requests: Vec<(usize, usize)> = (0..n).map(|p| (p, p)).collect();
-        let (accessed, stats) = run_step(&requests, &clusters, c, r, &map, &mut exec, 2);
+        let (accessed, stats) = run_step(&requests, &clusters, c, r, &map, &mut exec, 2, &[]);
         assert!(
             accessed.iter().all(|a| a.len() >= c),
             "protocol still completes"
@@ -674,34 +783,6 @@ mod tests {
         );
         assert!(stats.stage2_phases > 0);
         assert!(stats.killed_attempts > 0);
-    }
-
-    /// Executor decorator marking every attempt at a module in `dead` as
-    /// permanently faulted (the shape `cr-faults`' FaultyExec takes).
-    struct DeadModules<E> {
-        inner: E,
-        dead: Vec<bool>,
-    }
-
-    impl<E: PhaseExecutor> PhaseExecutor for DeadModules<E> {
-        fn execute(
-            &mut self,
-            attempts: &[CopyAttempt],
-            pipeline: usize,
-            outcome: &mut Vec<AttemptOutcome>,
-        ) -> StepCost {
-            let cost = self.inner.execute(attempts, pipeline, outcome);
-            for (a, out) in attempts.iter().zip(outcome.iter_mut()) {
-                if self.dead[a.module as usize] {
-                    *out = AttemptOutcome::Dead;
-                }
-            }
-            cost
-        }
-
-        fn lossy(&self) -> bool {
-            self.dead.iter().any(|&d| d)
-        }
     }
 
     #[test]
@@ -716,12 +797,9 @@ mod tests {
         let mut dead = vec![false; modules];
         dead[0] = true;
         dead[5] = true;
-        let mut exec = DeadModules {
-            inner: BipartiteExec::new(modules),
-            dead,
-        };
+        let mut exec = BipartiteExec::new(modules);
         let requests: Vec<(usize, usize)> = (0..8).map(|p| (p, p * 7)).collect();
-        let (accessed, stats) = run_step(&requests, &clusters, c, r, &map, &mut exec, 4);
+        let (accessed, stats) = run_step(&requests, &clusters, c, r, &map, &mut exec, 4, &dead);
         for (i, a) in accessed.iter().enumerate() {
             let faulty = map
                 .copies(requests[i].1)
@@ -798,7 +876,7 @@ mod tests {
             blocked_src: 0,
         };
         let requests: Vec<(usize, usize)> = (0..6).map(|p| (p, p * 5)).collect();
-        let (accessed, stats) = run_step(&requests, &clusters, c, r, &map, &mut exec, 4);
+        let (accessed, stats) = run_step(&requests, &clusters, c, r, &map, &mut exec, 4, &[]);
         assert!(
             accessed.iter().all(|a| a.len() >= c),
             "rotation must route around the blocked source: {accessed:?}"
@@ -820,12 +898,10 @@ mod tests {
         let r = 2 * c - 1;
         let map = MemoryMap::random(m, modules, r, 3);
         let clusters = Clusters::new(4, r);
-        let mut exec = DeadModules {
-            inner: BipartiteExec::new(modules),
-            dead: vec![true; modules],
-        };
+        let mut exec = BipartiteExec::new(modules);
         let requests: Vec<(usize, usize)> = (0..4).map(|p| (p, p)).collect();
-        let (accessed, stats) = run_step(&requests, &clusters, c, r, &map, &mut exec, 4);
+        let dead = vec![true; modules];
+        let (accessed, stats) = run_step(&requests, &clusters, c, r, &map, &mut exec, 4, &dead);
         assert!(accessed.iter().all(|a| a.is_empty()));
         assert_eq!(stats.failed_requests, 4);
         assert_eq!(stats.dead_attempts, (4 * r) as u64);
@@ -835,6 +911,102 @@ mod tests {
             "phases {}",
             stats.phases()
         );
+    }
+
+    /// A c = 1 step (one copy per variable, clusters of one) over a
+    /// striped map, so variable `v` lives in module `v mod modules`: the
+    /// protocol's outcome for each request is the outcome of its one
+    /// attempt.
+    fn single_copy_step(
+        modules: usize,
+        vars: &[usize],
+        ws: &mut ProtocolWorkspace,
+    ) -> (Vec<Vec<usize>>, ProtocolStats) {
+        let map = MemoryMap::striped(2 * modules, modules, 1);
+        let clusters = Clusters::new(vars.len(), 1);
+        let requests: Vec<(usize, usize)> = vars.iter().copied().enumerate().collect();
+        let mut exec = BipartiteExec::new(modules);
+        let stats = run_protocol(
+            &requests,
+            &clusters,
+            1,
+            1,
+            &map,
+            &FlatPlacement,
+            &mut exec,
+            4,
+            1,
+            ws,
+        );
+        let accessed = (0..requests.len())
+            .map(|i| ws.accessed(i).to_vec())
+            .collect();
+        (accessed, stats)
+    }
+
+    #[test]
+    fn a_dead_attempt_costs_one_message() {
+        let mut dead = vec![false; 8];
+        dead[3] = true;
+        let mut ws = ProtocolWorkspace::new();
+        ws.set_faults(&dead, 0.0, 1);
+        // Variables 3 and 11 live in dead module 3, variable 5 in module 5.
+        let (accessed, stats) = single_copy_step(8, &[3, 5, 11], &mut ws);
+        assert_eq!(accessed, vec![vec![], vec![0], vec![]]);
+        assert_eq!(stats.dead_attempts, 2);
+        assert_eq!(stats.failed_requests, 2);
+        // The served attempt costs request + reply; the two written-off
+        // attempts cost one doomed request message each.
+        assert_eq!(stats.messages, 4);
+        assert_eq!(stats.phases(), 1, "a written-off copy is never retried");
+    }
+
+    #[test]
+    fn an_all_dead_phase_still_costs_a_cycle() {
+        let mut ws = ProtocolWorkspace::new();
+        ws.set_faults(&[true; 4], 0.0, 1);
+        let (accessed, stats) = single_copy_step(4, &[1], &mut ws);
+        assert_eq!(accessed, vec![Vec::<usize>::new()]);
+        assert_eq!(stats.dead_attempts, 1);
+        assert_eq!(stats.phases(), 1);
+        assert_eq!(stats.cycles, 1);
+        assert_eq!(stats.messages, 1);
+    }
+
+    #[test]
+    fn message_drops_are_transient_and_deterministic() {
+        let run = |seed: u64| {
+            let mut ws = ProtocolWorkspace::new();
+            ws.set_faults(&[false; 16], 0.5, seed);
+            let vars: Vec<usize> = (0..16).collect();
+            let mut drops = Vec::new();
+            for _ in 0..10 {
+                let (accessed, stats) = single_copy_step(16, &vars, &mut ws);
+                drops.push(stats.killed_attempts);
+                assert_eq!(stats.dead_attempts, 0, "drops are never permanent");
+                assert!(accessed.iter().all(|a| a == &[0]), "every copy retried");
+            }
+            (drops, ws.dropped_messages())
+        };
+        let (d1, n1) = run(7);
+        let (d2, n2) = run(7);
+        assert_eq!(d1, d2);
+        assert_eq!(n1, n2);
+        assert_eq!(n1, d1.iter().sum::<u64>(), "every kill is a drop");
+        assert!(n1 > 0, "p = 0.5 over 160 attempts must drop something");
+        let (d3, _) = run(8);
+        assert_ne!(d1, d3, "different seed, different drop pattern");
+    }
+
+    #[test]
+    fn a_fault_free_mask_is_transparent() {
+        let vars = [2, 10, 7];
+        let plain = single_copy_step(8, &vars, &mut ProtocolWorkspace::new());
+        let mut ws = ProtocolWorkspace::new();
+        ws.set_faults(&[false; 8], 0.0, 1);
+        assert!(!ws.faulty());
+        assert_eq!(single_copy_step(8, &vars, &mut ws), plain);
+        assert_eq!((ws.dead_modules(), ws.dropped_messages()), (0, 0));
     }
 
     #[test]

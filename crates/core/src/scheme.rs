@@ -432,8 +432,8 @@ impl SimBuilder {
     /// The validated coarse-granularity (MPC-style) configuration with
     /// `modules_default` contention units unless overridden — public for
     /// the same reason as [`fine_config`](Self::fine_config): external
-    /// composers (e.g. the fault-injection layer in `cr-faults`) rebuild
-    /// the coarse baselines around decorated executors and must derive the
+    /// composers (e.g. the fault-injection layer in `cr-faults`) construct
+    /// the coarse baselines' concrete types and must derive the
     /// *identical* configuration the builder would.
     pub fn coarse_config(&self, modules_default: usize) -> Result<SchemeConfig, BuildError> {
         self.validate()?;

@@ -2,7 +2,8 @@
 //!
 //! Each wraps a [`MajorityScheme`] with the right executor, placement, and
 //! parameter regime, and exposes it uniformly through the [`Scheme`] trait
-//! (plus a `scheme()` accessor to the wrapped engine for power users).
+//! (plus `scheme()`/`scheme_mut()` accessors to the wrapped engine for
+//! power users and fault injection).
 //! Construction goes through [`crate::SimBuilder`]; the `new`/`try_new`
 //! constructors taking a [`SchemeConfig`] are the escape hatch for regimes
 //! the builder does not expose.
@@ -11,12 +12,25 @@ use crate::config::SchemeConfig;
 use crate::executors::{BipartiteExec, MotExec};
 use crate::majority::{MajorityScheme, StepReport};
 use crate::protocol::{FlatPlacement, GridPlacement};
-use crate::scheme::{BuildError, Scheme, SchemeKind, SchemeParams};
+use crate::scheme::{BuildError, FaultTotals, Scheme, SchemeKind, SchemeParams};
 use models::params::pow2_at_least;
 use pram_machine::{AccessResult, SharedMemory, Word};
 
 macro_rules! impl_scheme {
-    ($ty:ident, $kind:expr) => {
+    ($ty:ident, $kind:expr, $engine:ty) => {
+        impl $ty {
+            /// The wrapped step engine (stats, map, config).
+            pub fn scheme(&self) -> &$engine {
+                &self.inner
+            }
+
+            /// The wrapped step engine, mutably: fault injection sets its
+            /// dead modules ([`MajorityScheme::set_unavailable`]) here.
+            pub fn scheme_mut(&mut self) -> &mut $engine {
+                &mut self.inner
+            }
+        }
+
         impl SharedMemory for $ty {
             fn size(&self) -> usize {
                 self.inner.size()
@@ -48,6 +62,9 @@ macro_rules! impl_scheme {
             fn params(&self) -> SchemeParams {
                 self.inner.config().params($kind)
             }
+            fn fault_counters(&self) -> Option<FaultTotals> {
+                self.inner.fault_counters()
+            }
         }
     };
 }
@@ -72,14 +89,9 @@ impl HpDmmpc {
             inner: MajorityScheme::assemble(cfg, cfg.modules, exec, FlatPlacement),
         }
     }
-
-    /// The wrapped step engine (stats, map, config).
-    pub fn scheme(&self) -> &MajorityScheme<BipartiteExec, FlatPlacement> {
-        &self.inner
-    }
 }
 
-impl_scheme!(HpDmmpc, SchemeKind::HpDmmpc);
+impl_scheme!(HpDmmpc, SchemeKind::HpDmmpc, MajorityScheme<BipartiteExec, FlatPlacement>);
 
 /// **Upfal–Wigderson baseline** — majority rule on the coarse-grain MPC
 /// (`M = n`, one module per processor, Lemma 1's `c = Θ(log m)`).
@@ -111,14 +123,9 @@ impl UwMpc {
     pub fn new(cfg: &SchemeConfig) -> Self {
         Self::try_new(cfg).expect("the MPC has one module per processor")
     }
-
-    /// The wrapped step engine.
-    pub fn scheme(&self) -> &MajorityScheme<BipartiteExec, FlatPlacement> {
-        &self.inner
-    }
 }
 
-impl_scheme!(UwMpc, SchemeKind::UwMpc);
+impl_scheme!(UwMpc, SchemeKind::UwMpc, MajorityScheme<BipartiteExec, FlatPlacement>);
 
 /// **Theorem 3 / Fig. 8** — the paper's DMBDN scheme: a `√M × √M` 2DMOT
 /// with the memory modules at the **leaves** and processors at the first
@@ -133,9 +140,8 @@ pub struct Hp2dmotLeaves {
 
 impl Hp2dmotLeaves {
     /// The grid side this scheme derives from a configuration: the
-    /// smallest power of two ≥ max(modules, n). Named so external
-    /// composers (the fault layer rebuilds this scheme around a decorated
-    /// executor) derive the identical geometry.
+    /// smallest power of two ≥ max(modules, n), so the grid has a column
+    /// per module and a root per processor.
     pub fn side_for(cfg: &SchemeConfig) -> usize {
         pow2_at_least(cfg.modules.max(cfg.n)).max(2)
     }
@@ -160,14 +166,9 @@ impl Hp2dmotLeaves {
     pub fn switches(&self) -> usize {
         self.inner.executor().switches()
     }
-
-    /// The wrapped step engine.
-    pub fn scheme(&self) -> &MajorityScheme<MotExec, GridPlacement> {
-        &self.inner
-    }
 }
 
-impl_scheme!(Hp2dmotLeaves, SchemeKind::Hp2dmotLeaves);
+impl_scheme!(Hp2dmotLeaves, SchemeKind::Hp2dmotLeaves, MajorityScheme<MotExec, GridPlacement>);
 
 /// **Luccio–Pietracaprina–Pucci baseline** — 2DMOT with memory at the
 /// **roots** (coalesced with the processors): same `O(log²n/log log n)`
@@ -180,8 +181,9 @@ pub struct Lpp2dmot {
 }
 
 impl Lpp2dmot {
-    /// The grid side this scheme derives from a configuration (see
-    /// [`Hp2dmotLeaves::side_for`] for why this is a named function).
+    /// The grid side this scheme derives from a configuration: the
+    /// smallest power of two ≥ max(modules, 2), so every module has a
+    /// root.
     pub fn side_for(cfg: &SchemeConfig) -> usize {
         pow2_at_least(cfg.modules.max(2))
     }
@@ -207,14 +209,9 @@ impl Lpp2dmot {
     pub fn side(&self) -> usize {
         self.inner.executor().side()
     }
-
-    /// The wrapped step engine.
-    pub fn scheme(&self) -> &MajorityScheme<MotExec, FlatPlacement> {
-        &self.inner
-    }
 }
 
-impl_scheme!(Lpp2dmot, SchemeKind::Lpp2dmot);
+impl_scheme!(Lpp2dmot, SchemeKind::Lpp2dmot, MajorityScheme<MotExec, FlatPlacement>);
 
 #[cfg(test)]
 mod tests {

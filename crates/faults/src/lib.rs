@@ -12,12 +12,11 @@
 //!   2DMOT schemes) static link faults, placed [`Placement::Random`]ly or
 //!   [`Placement::Adversarial`]ly (aimed at the modules holding the hot
 //!   cell's copies, via the scheme's own memory distribution);
-//! * [`FaultyExec`] — a `PhaseExecutor` decorator that kills attempts to
-//!   dead modules (permanently — the protocol writes the copy off) and
-//!   drops served replies (transiently — the protocol retries);
 //! * [`FaultyScheme`] / [`FaultyBuilder`] — any `SchemeKind`, built with
-//!   the identical configuration `SimBuilder` would derive, running under
-//!   a plan and judged against the fault-free P-RAM (an ideal memory);
+//!   the identical configuration `SimBuilder` would derive, with the
+//!   plan's faults handed to the scheme itself (the copy schemes' cluster
+//!   protocol writes off copies in dead modules and retries dropped
+//!   replies), judged against the fault-free P-RAM (an ideal memory);
 //! * [`FaultReport`] — what it cost: lost cells, stale reads, reads
 //!   recovered by majority / by IDA decoding, and slowdown versus a
 //!   same-seed healthy run of the same requests.
@@ -47,12 +46,10 @@
 //! assert!(rep.recovered_majority >= 1, "the quorum absorbed the faults");
 //! ```
 
-pub mod exec;
 pub mod plan;
 pub mod report;
 pub mod scheme;
 
-pub use exec::{FaultExecStats, FaultyExec};
 pub use plan::{FaultPlan, Placement};
 pub use report::FaultReport;
 pub use scheme::{FaultyBuilder, FaultyScheme};

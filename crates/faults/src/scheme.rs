@@ -1,13 +1,15 @@
 //! [`FaultyScheme`]: any member of the scheme zoo, running on a broken
 //! machine, measured against the fault-free P-RAM.
 //!
-//! [`FaultyBuilder`] mirrors `cr_core::SimBuilder` — same `(n, m)`, same
-//! kind, same seed, same derived configuration — but threads the
-//! [`FaultPlan`] through every layer the scheme touches:
+//! [`FaultyBuilder`] builds the zoo's own scheme — same `(n, m)`, same
+//! kind, same seed, same derived configuration as `cr_core::SimBuilder`
+//! — and hands the [`FaultPlan`] to the layer that owns each fault:
 //!
-//! * the copy-based schemes get their `PhaseExecutor` wrapped in a
-//!   [`FaultyExec`] (dead modules, message drops) and, on the 2DMOT, dead
-//!   links injected into the routed network itself;
+//! * the copy-based schemes get the dead-module mask, aimed over their
+//!   own memory map, and the message-drop rate through
+//!   `MajorityScheme::set_unavailable`: their cluster protocol writes off
+//!   copies in dead modules and retries dropped replies. On the 2DMOT,
+//!   dead links go into the routed network itself;
 //! * the hashed baseline loses every request aimed at a dead module via
 //!   its unavailability mask — there is no second copy to try;
 //! * the IDA scheme recovers from surviving shares via its
@@ -20,109 +22,18 @@
 //! this scheme's business: determinism makes it the cost of a same-seed
 //! healthy run of the same requests, which callers measure directly.
 
-use cr_core::executors::{BipartiteExec, MotExec};
+use cr_core::executors::MotExec;
 use cr_core::majority::{MajorityScheme, StepReport};
-use cr_core::protocol::{FlatPlacement, GridPlacement};
+use cr_core::protocol::{CopyPlacement, PhaseExecutor};
 use cr_core::{
-    BuildError, FaultTotals, HashedDmmpc, Hp2dmotLeaves, IdaShared, Lpp2dmot, Scheme, SchemeKind,
-    SchemeParams, SimBuilder,
+    BuildError, FaultTotals, HashedDmmpc, Hp2dmotLeaves, HpDmmpc, IdaShared, Lpp2dmot, Scheme,
+    SchemeKind, SchemeParams, SimBuilder, UwMpc,
 };
 use memdist::MemoryMap;
 use pram_machine::{AccessResult, IdealMemory, SharedMemory, Word};
 
-use crate::exec::FaultyExec;
 use crate::plan::FaultPlan;
 use crate::report::FaultReport;
-
-/// The faulty engine: each zoo member with its fault wiring.
-#[derive(Debug)]
-enum Engine {
-    /// `uw-mpc` / `hp-dmmpc`: complete interconnect behind a fault
-    /// decorator.
-    Flat(MajorityScheme<FaultyExec<BipartiteExec>, FlatPlacement>),
-    /// `hp-2dmot`: routed mesh (leaf memory) behind a fault decorator,
-    /// with link faults inside the network.
-    Grid(MajorityScheme<FaultyExec<MotExec>, GridPlacement>),
-    /// `lpp-2dmot`: routed mesh, root memory.
-    GridFlat(MajorityScheme<FaultyExec<MotExec>, FlatPlacement>),
-    /// `hashed`: no protocol — dead-module requests are simply lost.
-    Hashed(HashedDmmpc),
-    /// `ida`: recovery from surviving shares via the unavailability mask.
-    Ida(IdaShared),
-}
-
-impl Engine {
-    fn access(&mut self, reads: &[usize], writes: &[(usize, Word)]) -> AccessResult {
-        match self {
-            Engine::Flat(s) => s.access(reads, writes),
-            Engine::Grid(s) => s.access(reads, writes),
-            Engine::GridFlat(s) => s.access(reads, writes),
-            Engine::Hashed(s) => s.access(reads, writes),
-            Engine::Ida(s) => s.access(reads, writes),
-        }
-    }
-
-    fn poke(&mut self, addr: usize, value: Word) {
-        match self {
-            Engine::Flat(s) => s.poke(addr, value),
-            Engine::Grid(s) => s.poke(addr, value),
-            Engine::GridFlat(s) => s.poke(addr, value),
-            Engine::Hashed(s) => s.poke(addr, value),
-            Engine::Ida(s) => s.poke(addr, value),
-        }
-    }
-
-    fn last_step(&self) -> StepReport {
-        match self {
-            Engine::Flat(s) => s.last_step(),
-            Engine::Grid(s) => s.last_step(),
-            Engine::GridFlat(s) => s.last_step(),
-            Engine::Hashed(s) => Scheme::last_step(s),
-            Engine::Ida(s) => Scheme::last_step(s),
-        }
-    }
-
-    fn totals(&self) -> (StepReport, u64) {
-        match self {
-            Engine::Flat(s) => s.totals(),
-            Engine::Grid(s) => s.totals(),
-            Engine::GridFlat(s) => s.totals(),
-            Engine::Hashed(s) => Scheme::totals(s),
-            Engine::Ida(s) => Scheme::totals(s),
-        }
-    }
-
-    /// What the scheme reports about itself: exactly what `SimBuilder`
-    /// would report for the same configuration.
-    fn params(&self, kind: SchemeKind) -> SchemeParams {
-        match self {
-            Engine::Flat(s) => s.config().params(kind),
-            Engine::Grid(s) => s.config().params(kind),
-            Engine::GridFlat(s) => s.config().params(kind),
-            Engine::Hashed(s) => s.params(),
-            Engine::Ida(s) => s.params(),
-        }
-    }
-
-    /// Fault counters from the decorated executor (protocol schemes only).
-    fn exec_stats(&self) -> (u64, u64) {
-        match self {
-            Engine::Flat(s) => {
-                let st = s.executor().stats;
-                (st.dead_attempts, st.dropped_messages)
-            }
-            Engine::Grid(s) => {
-                let st = s.executor().stats;
-                (st.dead_attempts, st.dropped_messages)
-            }
-            Engine::GridFlat(s) => {
-                let st = s.executor().stats;
-                (st.dead_attempts, st.dropped_messages)
-            }
-            Engine::Hashed(_) | Engine::Ida(_) => (0, 0),
-        }
-    }
-}
 
 /// Builder for a [`FaultyScheme`] — `SimBuilder`'s fluent shape plus a
 /// [`FaultPlan`].
@@ -201,107 +112,79 @@ impl FaultyBuilder {
         // (how many of the cell's copies/shares are faulty; is it still
         // recoverable at all).
         let mut dead_links = 0usize;
-        let (engine, dead_modules, faulty_copies, recoverable) = match kind {
-            SchemeKind::HpDmmpc | SchemeKind::UwMpc => {
-                let cfg = match kind {
-                    SchemeKind::HpDmmpc => builder.fine_config()?,
-                    _ => builder.coarse_config(n)?,
+        let (engine, dead_modules, faulty_copies, recoverable): (Box<dyn Scheme>, _, _, _) =
+            match kind {
+                SchemeKind::HpDmmpc => {
+                    let mut s = HpDmmpc::new(&builder.fine_config()?);
+                    let (dead, fc, rec) = fail_modules(s.scheme_mut(), &plan, hot);
+                    (Box::new(s), dead, fc, rec)
                 }
-                .with_pipeline(1);
-                let r = cfg.redundancy();
-                let map = MemoryMap::random(cfg.m, cfg.modules, r, cfg.seed);
-                let (dead, fc, rec) = plan_over_map(&map, &plan, hot);
-                let exec = FaultyExec::new(
-                    BipartiteExec::new(cfg.modules),
-                    dead.clone(),
-                    plan.message_drop,
-                    plan.drop_seed(),
-                );
-                let s = MajorityScheme::assemble(cfg, cfg.modules, exec, FlatPlacement);
-                (Engine::Flat(s), dead, fc, rec)
-            }
-            SchemeKind::Hp2dmotLeaves => {
-                let cfg = builder.fine_config()?;
-                let side = Hp2dmotLeaves::side_for(&cfg);
-                let cfg = cfg.with_modules(side);
-                let r = cfg.redundancy();
-                let map = MemoryMap::random(cfg.m, side, r, cfg.seed);
-                let (dead, fc, rec) = plan_over_map(&map, &plan, hot);
-                let mut mot = MotExec::leaves(side);
-                if plan.link_fraction > 0.0 {
-                    dead_links = mot
-                        .network_mut()
-                        .fail_random_links(plan.link_fraction, plan.link_seed());
+                SchemeKind::UwMpc => {
+                    let mut s = UwMpc::try_new(&builder.coarse_config(n)?)?;
+                    let (dead, fc, rec) = fail_modules(s.scheme_mut(), &plan, hot);
+                    (Box::new(s), dead, fc, rec)
                 }
-                let exec = FaultyExec::new(mot, dead.clone(), plan.message_drop, plan.drop_seed());
-                let s = MajorityScheme::assemble(cfg, side, exec, GridPlacement { side });
-                (Engine::Grid(s), dead, fc, rec)
-            }
-            SchemeKind::Lpp2dmot => {
-                let cfg = builder.coarse_config(n.max(2))?;
-                let r = cfg.redundancy();
-                let side = Lpp2dmot::side_for(&cfg);
-                let map = MemoryMap::random(cfg.m, cfg.modules, r, cfg.seed);
-                let (dead, fc, rec) = plan_over_map(&map, &plan, hot);
-                let mut mot = MotExec::roots(side);
-                if plan.link_fraction > 0.0 {
-                    dead_links = mot
-                        .network_mut()
-                        .fail_random_links(plan.link_fraction, plan.link_seed());
+                SchemeKind::Hp2dmotLeaves => {
+                    let mut s = Hp2dmotLeaves::new(&builder.fine_config()?);
+                    let (dead, fc, rec) = fail_modules(s.scheme_mut(), &plan, hot);
+                    dead_links = fail_links(s.scheme_mut().executor_mut(), &plan);
+                    (Box::new(s), dead, fc, rec)
                 }
-                let exec = FaultyExec::new(mot, dead.clone(), plan.message_drop, plan.drop_seed());
-                let s = MajorityScheme::assemble(cfg, cfg.modules, exec, FlatPlacement);
-                (Engine::GridFlat(s), dead, fc, rec)
-            }
-            SchemeKind::Hashed => {
-                let modules = builder.hashed_modules();
-                let mut inner = HashedDmmpc::new(n, m, modules, seed);
-                let mut loads = vec![0usize; modules];
-                for v in 0..m {
-                    loads[inner.module_of(v)] += 1;
+                SchemeKind::Lpp2dmot => {
+                    let mut s = Lpp2dmot::try_new(&builder.coarse_config(n.max(2))?)?;
+                    let (dead, fc, rec) = fail_modules(s.scheme_mut(), &plan, hot);
+                    dead_links = fail_links(s.scheme_mut().executor_mut(), &plan);
+                    (Box::new(s), dead, fc, rec)
                 }
-                let dead = plan.module_mask(modules, &loads, &[inner.module_of(hot)]);
-                // The only copy is gone: a faulty cell is a lost cell.
-                let fc: Vec<u32> = (0..m)
-                    .map(|v| u32::from(dead[inner.module_of(v)]))
-                    .collect();
-                let rec = fc.iter().map(|&c| c == 0).collect();
-                inner.set_unavailable(&dead);
-                (Engine::Hashed(inner), dead, fc, rec)
-            }
-            SchemeKind::Ida => {
-                let (modules, b, d) = builder.ida_layout()?;
-                let mut inner = IdaShared::new(n, m, modules, b, d);
-                let store = inner.store();
-                let vars_per_block = store.vars_per_block();
-                let blocks = m.div_ceil(vars_per_block);
-                let q = store.quorum();
-                let mut loads = vec![0usize; modules];
-                for blk in 0..blocks {
-                    for i in 0..d {
-                        loads[store.module_of_share(blk, i)] += 1;
+                SchemeKind::Hashed => {
+                    let modules = builder.hashed_modules();
+                    let mut inner = HashedDmmpc::new(n, m, modules, seed);
+                    let mut loads = vec![0usize; modules];
+                    for v in 0..m {
+                        loads[inner.module_of(v)] += 1;
                     }
+                    let dead = plan.module_mask(modules, &loads, &[inner.module_of(hot)]);
+                    // The only copy is gone: a faulty cell is a lost cell.
+                    let fc: Vec<u32> = (0..m)
+                        .map(|v| u32::from(dead[inner.module_of(v)]))
+                        .collect();
+                    let rec = fc.iter().map(|&c| c == 0).collect();
+                    inner.set_unavailable(&dead);
+                    (Box::new(inner), dead, fc, rec)
                 }
-                let hot_blk = hot / vars_per_block;
-                let hot_modules: Vec<usize> =
-                    (0..d).map(|i| store.module_of_share(hot_blk, i)).collect();
-                let dead = plan.module_mask(modules, &loads, &hot_modules);
-                let mut fc = vec![0u32; m];
-                let mut rec = vec![true; m];
-                for blk in 0..blocks {
-                    let dead_shares = (0..d)
-                        .filter(|&i| dead[store.module_of_share(blk, i)])
-                        .count();
-                    let block_ok = d - dead_shares >= q;
-                    for v in blk * vars_per_block..((blk + 1) * vars_per_block).min(m) {
-                        fc[v] = dead_shares as u32;
-                        rec[v] = block_ok;
+                SchemeKind::Ida => {
+                    let (modules, b, d) = builder.ida_layout()?;
+                    let mut inner = IdaShared::new(n, m, modules, b, d);
+                    let store = inner.store();
+                    let vars_per_block = store.vars_per_block();
+                    let blocks = m.div_ceil(vars_per_block);
+                    let q = store.quorum();
+                    let mut loads = vec![0usize; modules];
+                    for blk in 0..blocks {
+                        for i in 0..d {
+                            loads[store.module_of_share(blk, i)] += 1;
+                        }
                     }
+                    let hot_blk = hot / vars_per_block;
+                    let hot_modules: Vec<usize> =
+                        (0..d).map(|i| store.module_of_share(hot_blk, i)).collect();
+                    let dead = plan.module_mask(modules, &loads, &hot_modules);
+                    let mut fc = vec![0u32; m];
+                    let mut rec = vec![true; m];
+                    for blk in 0..blocks {
+                        let dead_shares = (0..d)
+                            .filter(|&i| dead[store.module_of_share(blk, i)])
+                            .count();
+                        let block_ok = d - dead_shares >= q;
+                        for v in blk * vars_per_block..((blk + 1) * vars_per_block).min(m) {
+                            fc[v] = dead_shares as u32;
+                            rec[v] = block_ok;
+                        }
+                    }
+                    inner.set_unavailable(&dead);
+                    (Box::new(inner), dead, fc, rec)
                 }
-                inner.set_unavailable(&dead);
-                (Engine::Ida(inner), dead, fc, rec)
-            }
-        };
+            };
 
         let dead_procs = plan.processor_mask(n);
         let report = FaultReport {
@@ -313,7 +196,6 @@ impl FaultyBuilder {
         };
         Ok(FaultyScheme {
             kind,
-            params: engine.params(kind),
             engine,
             truth: IdealMemory::new(m),
             plan,
@@ -327,19 +209,33 @@ impl FaultyBuilder {
     }
 }
 
-/// Materialize a plan over a replicated memory map: the dead-module mask
-/// (adversarial placement aims at the hot cell's copy modules, then map
-/// load) plus the per-cell classification. One function, so the three
-/// majority-scheme arms of [`FaultyBuilder::build`] cannot diverge.
-fn plan_over_map(
-    map: &MemoryMap,
+/// Put a plan's module faults and message drops on a majority scheme:
+/// the dead-module mask over the scheme's own memory map (adversarial
+/// placement aims at the hot cell's copy modules, then map load), plus
+/// the per-cell classification. One function, so the four majority arms
+/// of [`FaultyBuilder::build`] cannot diverge.
+fn fail_modules<E: PhaseExecutor, P: CopyPlacement>(
+    s: &mut MajorityScheme<E, P>,
     plan: &FaultPlan,
     hot: usize,
 ) -> (Vec<bool>, Vec<u32>, Vec<bool>) {
+    let map = s.map();
     let hot_modules: Vec<usize> = map.copies(hot).iter().map(|&md| md as usize).collect();
     let dead = plan.module_mask(map.modules(), &map.module_loads(), &hot_modules);
     let (fc, rec) = classify_map(map, &dead);
+    s.set_unavailable(&dead, plan.message_drop, plan.drop_seed());
     (dead, fc, rec)
+}
+
+/// Kill the plan's fraction of a routed network's links; returns how
+/// many died.
+fn fail_links(exec: &mut MotExec, plan: &FaultPlan) -> usize {
+    if plan.link_fraction > 0.0 {
+        exec.network_mut()
+            .fail_random_links(plan.link_fraction, plan.link_seed())
+    } else {
+        0
+    }
 }
 
 /// Per-cell fault classification over a replicated memory map: how many of
@@ -367,11 +263,10 @@ fn classify_map(map: &MemoryMap, dead: &[bool]) -> (Vec<u32>, Vec<bool>) {
 #[derive(Debug)]
 pub struct FaultyScheme {
     kind: SchemeKind,
-    engine: Engine,
+    /// The zoo's own scheme, with its faults set.
+    engine: Box<dyn Scheme>,
     /// The fault-free P-RAM: every intended write lands here.
     truth: IdealMemory,
-    /// What `SimBuilder` would report for the same configuration.
-    params: SchemeParams,
     plan: FaultPlan,
     dead_procs: Vec<bool>,
     /// Per cell: copies/shares of this cell residing in dead modules.
@@ -388,7 +283,12 @@ pub struct FaultyScheme {
 impl FaultyScheme {
     /// The per-run fault metrics accumulated so far.
     pub fn report(&self) -> FaultReport {
-        self.report
+        let counters = self.engine.fault_counters().unwrap_or_default();
+        FaultReport {
+            dead_attempts: counters.dead_attempts,
+            dropped_messages: counters.dropped_messages,
+            ..self.report
+        }
     }
 
     /// The plan in force.
@@ -414,7 +314,7 @@ impl FaultyScheme {
 
 impl SharedMemory for FaultyScheme {
     fn size(&self) -> usize {
-        self.params.m
+        self.engine.size()
     }
 
     // lint: hot
@@ -486,9 +386,6 @@ impl SharedMemory for FaultyScheme {
 
         self.report.steps += 1;
         self.report.faulty_phases += res.cost.phases;
-        let (dead_attempts, dropped) = self.engine.exec_stats();
-        self.report.dead_attempts = dead_attempts;
-        self.report.dropped_messages = dropped;
         res
     }
 
@@ -506,11 +403,11 @@ impl Scheme for FaultyScheme {
     }
 
     fn redundancy(&self) -> f64 {
-        self.params.redundancy
+        self.engine.redundancy()
     }
 
     fn modules(&self) -> usize {
-        self.params.modules
+        self.engine.modules()
     }
 
     fn last_step(&self) -> StepReport {
@@ -522,15 +419,14 @@ impl Scheme for FaultyScheme {
     }
 
     fn params(&self) -> SchemeParams {
-        self.params
+        self.engine.params()
     }
 
     fn fault_counters(&self) -> Option<FaultTotals> {
-        let (dead_attempts, dropped_messages) = self.engine.exec_stats();
+        let counters = self.engine.fault_counters().unwrap_or_default();
         Some(FaultTotals {
-            dead_attempts,
-            dropped_messages,
             dead_modules: self.report.dead_modules as u64,
+            ..counters
         })
     }
 

@@ -36,8 +36,8 @@ pub use rules::{lint_source, FileContext, Finding, RULES};
 use std::path::{Path, PathBuf};
 
 /// Crates whose shipped code must be deterministic (the data plane plus
-/// the serving layer; `bench`, `criterion`, `models`, and `pram-machine`
-/// are measurement/reference layers and may read real time).
+/// the serving layer; `bench`, `models`, and `pram-machine` are
+/// measurement/reference layers and may read real time).
 pub const DATA_PLANE_CRATES: &[&str] = &[
     "core",
     "galois",

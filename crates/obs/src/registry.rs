@@ -129,6 +129,16 @@ impl Registry {
         }
     }
 
+    /// A handle on one shard's cell of a counter family (`None` for other
+    /// names and shards out of range), for a recorder that is not a
+    /// shard worker and so got no handle at registration.
+    pub fn counter(&self, name: &str, shard: usize) -> Option<Counter> {
+        match self.family(name)? {
+            FamilyKind::Counters(hs) => hs.get(shard).cloned(),
+            _ => None,
+        }
+    }
+
     /// The merged snapshot of a histogram family (`None` otherwise).
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         match self.family(name)? {
@@ -264,6 +274,17 @@ mod tests {
         );
         assert!(reg.shard_histogram("cr_step_latency_ns", 2).is_none());
         assert!(reg.shard_histogram("cr_steps_total", 0).is_none());
+    }
+
+    #[test]
+    fn a_looked_up_counter_records_into_the_registry() {
+        let (reg, _c, _g, _h) = sample_registry();
+        reg.counter("cr_steps_total", 1).unwrap().add(5);
+        assert_eq!(reg.shard_value("cr_steps_total", 1), Some(5));
+        assert_eq!(reg.total("cr_steps_total"), Some(5));
+        assert!(reg.counter("cr_steps_total", 2).is_none(), "no shard 2");
+        assert!(reg.counter("cr_sessions_live", 0).is_none(), "a gauge");
+        assert!(reg.counter("nope", 0).is_none());
     }
 
     #[test]

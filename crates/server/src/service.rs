@@ -207,6 +207,13 @@ pub fn build_cores(cfg: &ServiceConfig) -> (Vec<ShardCore>, Registry) {
     let mut verify_cycles = reg
         .counters("cr_verify_cycles_total", "VERIFY commands served")
         .into_iter();
+    // The TCP listener records into shard 0's cell (it is no shard and
+    // looks the cell up by name); registered here, every driver's
+    // METRICS carries the family.
+    reg.counters(
+        "cr_accept_errors_total",
+        "Failed accepts on the TCP listener, each retried after a pause",
+    );
     let mut sessions = reg.gauges("cr_sessions_live", "Live sessions").into_iter();
     let mut queue_depth = reg
         .gauges("cr_queue_depth", "Commands in flight per shard queue")

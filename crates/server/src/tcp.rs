@@ -108,6 +108,10 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: TcpListener, handle: ServiceHandle, stop: Arc<AtomicBool>) {
+    let errors = handle
+        .registry()
+        .counter("cr_accept_errors_total", 0)
+        .unwrap_or_default();
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -122,8 +126,14 @@ fn accept_loop(listener: TcpListener, handle: ServiceHandle, stop: Arc<AtomicBoo
                     connection_loop(stream, handle, stop)
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => runtime::sleep(POLL),
-            Err(_) => break,
+            Err(e) => {
+                // Any other failure (EMFILE, ECONNABORTED, …) is
+                // transient: count it and keep listening.
+                if e.kind() != std::io::ErrorKind::WouldBlock {
+                    errors.inc();
+                }
+                runtime::sleep(POLL);
+            }
         }
     }
 }
