@@ -16,7 +16,7 @@
 //! and paste the printed block.
 
 use pramsim::core::{Scheme, SchemeKind, SimBuilder};
-use pramsim::faults::{FaultPlan, FaultyBuilder};
+use pramsim::faults::{FaultPlan, FaultyBuilder, Placement};
 use pramsim::machine::SharedMemory;
 use pramsim::simrng::rng_from_seed;
 
@@ -267,6 +267,91 @@ fn golden_session_trace_hashes() {
         }
     }
     svc.shutdown();
+    assert!(
+        !printing,
+        "GOLDEN=print captures snapshots; unset it to assert"
+    );
+}
+
+/// The per-cell fault geometry: which cells a plan's dead modules cost,
+/// and how many of each cell's copies or shares they hit, before any
+/// step runs. Each digest folds `is_recoverable` and `faulty_copies` for
+/// every cell, then the `FaultReport` the scheme starts with, under
+/// `FaultPlan::modules(0.125)`. The cells `cell_lost` excuses are exactly
+/// the unrecoverable ones, so these pin what the verifier forgives.
+/// Kinds built from the same configuration draw the same memory map, so
+/// `uw-mpc` matches `lpp-2dmot` and `hp-dmmpc` matches `hp-2dmot`.
+/// Captured from the per-kind classification in `FaultyBuilder::build`.
+/// To print the block: `GOLDEN=print cargo test --test golden_snapshots
+/// golden_fault_geometry -- --nocapture`.
+const EXPECTED_GEOMETRY: [(&str, &str); 24] = [
+    ("uw-mpc n=16 m=64 random", "84ac698186b13c2b"),
+    ("uw-mpc n=16 m=64 adversarial", "0bc8932e6ec0004a"),
+    ("uw-mpc n=64 m=1024 random", "d6d4f89f6b7a5a63"),
+    ("uw-mpc n=64 m=1024 adversarial", "a6970e1ce2493bc2"),
+    ("hp-dmmpc n=16 m=64 random", "935371b347b849e3"),
+    ("hp-dmmpc n=16 m=64 adversarial", "ad0e857333e4408e"),
+    ("hp-dmmpc n=64 m=1024 random", "4bad81fd6351bb1c"),
+    ("hp-dmmpc n=64 m=1024 adversarial", "665065106307bbb4"),
+    ("hp-2dmot n=16 m=64 random", "935371b347b849e3"),
+    ("hp-2dmot n=16 m=64 adversarial", "ad0e857333e4408e"),
+    ("hp-2dmot n=64 m=1024 random", "4bad81fd6351bb1c"),
+    ("hp-2dmot n=64 m=1024 adversarial", "665065106307bbb4"),
+    ("lpp-2dmot n=16 m=64 random", "84ac698186b13c2b"),
+    ("lpp-2dmot n=16 m=64 adversarial", "0bc8932e6ec0004a"),
+    ("lpp-2dmot n=64 m=1024 random", "d6d4f89f6b7a5a63"),
+    ("lpp-2dmot n=64 m=1024 adversarial", "a6970e1ce2493bc2"),
+    ("hashed n=16 m=64 random", "7db5d879bdf787b2"),
+    ("hashed n=16 m=64 adversarial", "217eb1778cb723b2"),
+    ("hashed n=64 m=1024 random", "9375e71f9f3ffd7f"),
+    ("hashed n=64 m=1024 adversarial", "c9fa43ee11e9d1d7"),
+    ("ida n=16 m=64 random", "0ddf8628ad0aff28"),
+    ("ida n=16 m=64 adversarial", "b315a865759cc0df"),
+    ("ida n=64 m=1024 random", "38dcace9fb292ca7"),
+    ("ida n=64 m=1024 adversarial", "daf780d9b10def65"),
+];
+
+/// The geometry digest of one `(kind, size, placement)` triple.
+fn geometry_digest(kind: SchemeKind, n: usize, m: usize, placement: Placement) -> u64 {
+    let s = FaultyBuilder::new(n, m)
+        .kind(kind)
+        .seed(GOLDEN_SEED)
+        .plan(
+            FaultPlan::modules(0.125)
+                .with_placement(placement)
+                .with_seed(GOLDEN_SEED),
+        )
+        .build()
+        .expect("geometry regimes are feasible");
+    let mut hash = FNV_OFFSET;
+    for v in 0..m {
+        fnv1a(&mut hash, u64::from(s.is_recoverable(v)));
+        fnv1a(&mut hash, u64::from(s.faulty_copies(v)));
+    }
+    for byte in format!("{:?}", s.report()).bytes() {
+        fnv1a(&mut hash, u64::from(byte));
+    }
+    hash
+}
+
+#[test]
+fn golden_fault_geometry() {
+    let printing = std::env::var("GOLDEN").is_ok_and(|v| v == "print");
+    let mut expected = EXPECTED_GEOMETRY.iter();
+    for kind in SchemeKind::ALL {
+        for (n, m) in [(16, 64), (64, 1024)] {
+            for placement in [Placement::Random, Placement::Adversarial] {
+                let label = format!("{kind} n={n} m={m} {placement}");
+                let got = format!("{:016x}", geometry_digest(kind, n, m, placement));
+                if printing {
+                    println!("    (\"{label}\", \"{got}\"),");
+                } else {
+                    let want = expected.next().expect("one digest per triple");
+                    assert_eq!((label.as_str(), got.as_str()), *want, "geometry drifted");
+                }
+            }
+        }
+    }
     assert!(
         !printing,
         "GOLDEN=print captures snapshots; unset it to assert"
