@@ -138,9 +138,8 @@ impl MotExec {
         self.net.topology().switches()
     }
 
-    /// The underlying routed network — mutable, so fault injection can
-    /// kill links ([`MotNetwork::fail_links`] / `fail_random_links`)
-    /// before the executor is handed to a scheme.
+    /// The underlying routed network — mutable, so a test can kill
+    /// chosen links ([`MotNetwork::fail_links`]).
     pub fn network_mut(&mut self) -> &mut MotNetwork<usize> {
         &mut self.net
     }
@@ -204,6 +203,10 @@ impl PhaseExecutor for MotExec {
         // With dead links injected, requests can fail permanently — the
         // protocol may legitimately end a step below quorum.
         self.net.dead_links() > 0
+    }
+
+    fn fail_links(&mut self, fraction: f64, seed: u64) -> usize {
+        self.net.fail_random_links(fraction, seed)
     }
 }
 

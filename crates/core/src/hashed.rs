@@ -15,7 +15,7 @@
 
 use crate::congestion::CongestionCounter;
 use crate::majority::StepReport;
-use crate::scheme::{Scheme, SchemeKind, SchemeParams};
+use crate::scheme::{FaultTotals, Scheme, SchemeKind, SchemeParams};
 use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
 
 /// Hashed single-copy shared memory on a DMMPC.
@@ -40,8 +40,8 @@ pub struct HashedDmmpc {
     /// Flat per-step congestion counter (replaces the old per-step
     /// `HashMap`).
     congestion: CongestionCounter,
-    /// Per-module unavailability mask (fault injection); empty on a
-    /// healthy machine.
+    /// Per-module unavailability mask ([`Scheme::set_faults`]); empty
+    /// on a machine with no dead module.
     unavailable: Vec<bool>,
     /// Per-step queue depths at the unavailable modules.
     dead_queues: CongestionCounter,
@@ -69,19 +69,6 @@ impl HashedDmmpc {
             unavailable: Vec::new(),
             dead_queues: CongestionCounter::new(0),
         }
-    }
-
-    /// Mark modules unavailable (fault injection): `dead[j]` means module
-    /// `j` no longer serves requests. There is no second copy to fall
-    /// back on, so reads of its cells return 0 and writes to them are
-    /// lost. Those requests were still sent: their issuers wait out the
-    /// dead module's queue before giving up, so a step lasts at least
-    /// that queue's depth. Only served requests count as the step's
-    /// requests and messages.
-    pub fn set_unavailable(&mut self, dead: &[bool]) {
-        assert_eq!(dead.len(), self.modules, "mask must cover every module");
-        self.unavailable = dead.to_vec();
-        self.dead_queues = CongestionCounter::new(self.modules);
     }
 
     /// Charge one request to module `md`: whether the module serves it.
@@ -190,6 +177,41 @@ impl Scheme for HashedDmmpc {
         (self.total, self.steps)
     }
 
+    /// With no second copy, reads of a dead module's cells return 0 and
+    /// writes to them are lost. Those requests were still sent: their
+    /// issuers wait out the dead module's queue, so a step lasts at least
+    /// that queue's depth. Only served requests count as the step's
+    /// requests and messages.
+    fn set_faults(&mut self, dead: &[bool], _message_drop: f64, _drop_seed: u64) {
+        assert_eq!(dead.len(), self.modules, "mask must cover every module");
+        self.unavailable.clear();
+        if dead.contains(&true) {
+            self.unavailable.extend_from_slice(dead);
+        }
+        self.dead_queues = CongestionCounter::new(self.modules);
+    }
+
+    fn unit_loads(&self) -> Vec<usize> {
+        let mut loads = vec![0; self.modules];
+        for &md in &self.home {
+            loads[md as usize] += 1;
+        }
+        loads
+    }
+
+    fn cell_units(&self, cell: usize, units: &mut Vec<usize>) {
+        units.clear();
+        units.push(self.module_of(cell));
+    }
+
+    fn fault_counters(&self) -> Option<FaultTotals> {
+        (!self.unavailable.is_empty()).then(FaultTotals::default)
+    }
+
+    fn cell_lost(&self, addr: usize) -> bool {
+        !self.unavailable.is_empty() && self.unavailable[self.module_of(addr)]
+    }
+
     fn params(&self) -> SchemeParams {
         SchemeParams {
             kind: SchemeKind::Hashed,
@@ -226,7 +248,7 @@ mod tests {
         let alive = (0..64).find(|&v| h.module_of(v) != dead_md).unwrap();
         let mut dead = vec![false; 8];
         dead[dead_md] = true;
-        h.set_unavailable(&dead);
+        h.set_faults(&dead, 0.0, 0);
         h.access(&[], &[(0, 7), (alive, 9)]);
         // Three reads queue at the dead module and return 0; the one
         // served read is the step's only request.
@@ -236,6 +258,7 @@ mod tests {
         assert_eq!(r.cost.messages, 2);
         assert_eq!(h.last_step().requests, 1);
         assert_eq!(h.last_step().phases, 1);
+        assert!(h.cell_lost(lost[0]) && !h.cell_lost(alive));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::congestion::CongestionCounter;
 use crate::majority::StepReport;
-use crate::scheme::{Scheme, SchemeKind, SchemeParams};
+use crate::scheme::{FaultTotals, Scheme, SchemeKind, SchemeParams};
 use ida::{IdaWorkspace, SchusterStore};
 use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
 
@@ -22,14 +22,15 @@ pub struct IdaShared {
     n: usize,
     modules: usize,
     store: SchusterStore,
-    /// Per-module unavailability mask (fault injection): accesses recover
-    /// from surviving shares; a block with fewer than quorum survivors is
-    /// lost. All-false on a healthy machine.
+    /// Per-module unavailability mask ([`Scheme::set_faults`]): accesses
+    /// recover from surviving shares; a block with fewer than quorum
+    /// survivors is lost. Empty on a machine with no dead module, which
+    /// unlocks the store's no-fault fast path (no share→module
+    /// arithmetic in the quorum walk).
     unavailable: Vec<bool>,
-    /// Whether any entry of `unavailable` is set. A healthy machine
-    /// passes the store an empty mask, unlocking its no-fault fast path
-    /// (no share→module arithmetic in the quorum walk).
-    has_faults: bool,
+    /// Per block: fewer than quorum of its shares survive the mask.
+    /// Counted once when the faults are set; empty with `unavailable`.
+    lost_blocks: Vec<bool>,
     /// `(i · module_stride) % modules` per share index — the congestion
     /// charge below reduces each share's module to one add + compare.
     stride_mod: Vec<usize>,
@@ -69,8 +70,8 @@ impl IdaShared {
             n,
             modules,
             store,
-            unavailable: vec![false; modules],
-            has_faults: false,
+            unavailable: Vec::new(),
+            lost_blocks: Vec::new(),
             stride_mod,
             vpb_recip,
             mod_recip,
@@ -84,24 +85,12 @@ impl IdaShared {
         }
     }
 
-    /// Mark modules unavailable (fault injection): `dead[j]` means module
-    /// `j` no longer serves shares. Accesses degrade to the surviving
-    /// shares; a block left below its quorum is lost (reads return 0,
-    /// counted in [`Self::quorum_failures`]). Copied into the scheme's
-    /// retained mask — no per-call ownership transfer.
-    pub fn set_unavailable(&mut self, dead: &[bool]) {
-        assert_eq!(dead.len(), self.modules, "mask must cover every module");
-        self.unavailable.copy_from_slice(dead);
-        self.has_faults = dead.iter().any(|&x| x);
-    }
-
     /// Accesses that found no reachable quorum so far.
     pub fn quorum_failures(&self) -> u64 {
         self.quorum_failures
     }
 
-    /// The underlying dispersed store (share placement diagnostics —
-    /// fault planners use `module_of_share` to aim at a block's shares).
+    /// The underlying dispersed store (share placement diagnostics).
     pub fn store(&self) -> &SchusterStore {
         &self.store
     }
@@ -120,6 +109,16 @@ impl IdaShared {
     /// the messages column of [`StepReport`] also records).
     pub fn total_shares(&self) -> u64 {
         self.total_shares
+    }
+
+    /// Blocks the store disperses (`vars_per_block` cells each).
+    fn blocks(&self) -> usize {
+        self.store.size().div_ceil(self.store.vars_per_block())
+    }
+
+    /// The modules holding block `blk`'s shares, in share order.
+    fn shares_of(&self, blk: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.store.shares()).map(move |i| self.store.module_of_share(blk, i))
     }
 
     /// Decode-matrix cache statistics `(cached_sets, hits, misses)` —
@@ -153,7 +152,6 @@ impl SharedMemory for IdaShared {
         let mut shares = 0u64;
         let blk_vars = self.store.vars_per_block();
         let modules = self.modules;
-        let has_faults = self.has_faults;
         let (vpb_recip, mod_recip) = (self.vpb_recip, self.mod_recip);
 
         // Module congestion is charged per access as it happens, from the
@@ -168,14 +166,13 @@ impl SharedMemory for IdaShared {
         //
         // Reads observe pre-step state. Recovery uses whatever shares
         // survive the unavailability mask; a block below quorum is lost
-        // (reads return 0 — the fault layer classifies these). The
+        // (reads return 0 — `cell_lost` reports these). The
         // collect below is the step's one allocation (the returned
         // result vector); everything else runs on the workspace.
         let read_values: Vec<Word> = reads
             .iter()
             .map(|&a| {
-                let ua: &[bool] = if has_faults { &self.unavailable } else { &[] };
-                let r = self.store.read_in(a, ua, &mut self.ws);
+                let r = self.store.read_in(a, &self.unavailable, &mut self.ws);
                 let blk = div_recip(a, blk_vars, vpb_recip);
                 let bm = blk - div_recip(blk, modules, mod_recip) * modules;
                 for &i in self.ws.touched() {
@@ -196,8 +193,7 @@ impl SharedMemory for IdaShared {
             })
             .collect();
         for &(a, v) in writes {
-            let ua: &[bool] = if has_faults { &self.unavailable } else { &[] };
-            let r = self.store.write_in(a, v, ua, &mut self.ws);
+            let r = self.store.write_in(a, v, &self.unavailable, &mut self.ws);
             let bm = (a / blk_vars) % modules;
             for &i in self.ws.touched() {
                 let md = bm + self.stride_mod[i];
@@ -254,6 +250,42 @@ impl Scheme for IdaShared {
 
     fn totals(&self) -> (StepReport, u64) {
         (self.total, self.steps)
+    }
+
+    /// Accesses degrade to the surviving shares; a block left below its
+    /// quorum is lost (reads return 0, counted in
+    /// [`IdaShared::quorum_failures`]).
+    fn set_faults(&mut self, dead: &[bool], _message_drop: f64, _drop_seed: u64) {
+        assert_eq!(dead.len(), self.modules, "mask must cover every module");
+        self.unavailable.clear();
+        self.lost_blocks.clear();
+        if dead.contains(&true) {
+            self.unavailable.extend_from_slice(dead);
+            self.lost_blocks = (0..self.blocks())
+                .map(|blk| self.shares_of(blk).filter(|&md| !dead[md]).count() < self.quorum())
+                .collect();
+        }
+    }
+
+    fn unit_loads(&self) -> Vec<usize> {
+        let mut loads = vec![0; self.modules];
+        for md in (0..self.blocks()).flat_map(|blk| self.shares_of(blk)) {
+            loads[md] += 1;
+        }
+        loads
+    }
+
+    fn cell_units(&self, cell: usize, units: &mut Vec<usize>) {
+        units.clear();
+        units.extend(self.shares_of(cell / self.store.vars_per_block()));
+    }
+
+    fn fault_counters(&self) -> Option<FaultTotals> {
+        (!self.unavailable.is_empty()).then(FaultTotals::default)
+    }
+
+    fn cell_lost(&self, addr: usize) -> bool {
+        !self.lost_blocks.is_empty() && self.lost_blocks[addr / self.store.vars_per_block()]
     }
 
     fn params(&self) -> SchemeParams {
@@ -323,18 +355,23 @@ mod tests {
         let mut dead = vec![false; 32];
         dead[s.store().module_of_share(blk, 0)] = true;
         dead[s.store().module_of_share(blk, 1)] = true;
-        s.set_unavailable(&dead);
+        s.set_faults(&dead, 0.0, 0);
         let res = s.access(&[10], &[]);
         assert_eq!(res.read_values, vec![777]);
         assert_eq!(s.quorum_failures(), 0);
+        assert!(!s.cell_lost(10), "two dead shares are within the margin");
         // The dead modules are never charged congestion.
         assert!(res.cost.phases >= 1);
         // A third dead share module breaks the block's quorum: lost.
         dead[s.store().module_of_share(blk, 2)] = true;
-        s.set_unavailable(&dead);
+        s.set_faults(&dead, 0.0, 0);
         let res = s.access(&[10], &[]);
         assert_eq!(res.read_values, vec![0], "lost cells read as 0");
         assert_eq!(s.quorum_failures(), 1);
+        assert!(
+            s.cell_lost(10) && s.cell_lost(11),
+            "the whole block is lost"
+        );
     }
 
     #[test]

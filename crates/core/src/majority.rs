@@ -11,9 +11,9 @@
 //!    because any read quorum intersects every earlier write quorum;
 //! 4. writes stamp their quorum with the step number.
 //!
-//! On a faulty machine ([`MajorityScheme::set_unavailable`]) the protocol
-//! writes off copies in dead modules and retries dropped replies, so a
-//! quorum forms from the surviving copies.
+//! On a faulty machine ([`Scheme::set_faults`](crate::Scheme::set_faults))
+//! the protocol writes off copies in dead modules and retries dropped
+//! replies, so a quorum forms from the surviving copies.
 
 use crate::config::SchemeConfig;
 use crate::protocol::{
@@ -108,24 +108,30 @@ impl<E: PhaseExecutor, P: CopyPlacement> MajorityScheme<E, P> {
         &self.exec
     }
 
-    /// The executor, mutably (fault injection kills links in a
-    /// `MotExec`'s network).
-    pub fn executor_mut(&mut self) -> &mut E {
-        &mut self.exec
-    }
-
-    /// Mark modules dead and let the network drop replies (fault
-    /// injection). `dead[j]` means contention unit `j` no longer answers:
-    /// the protocol writes a copy there off where it issues it. Each
-    /// served reply is lost with probability `message_drop`, drawn from
+    /// Mark modules dead and let the network drop replies.
+    /// `dead[j]` means contention unit `j` no longer answers: the
+    /// protocol writes a copy there off where it issues it. Each served
+    /// reply is lost with probability `message_drop`, drawn from
     /// `drop_seed`, and retried. See [`ProtocolWorkspace::set_faults`].
-    pub fn set_unavailable(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
+    pub(crate) fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
         assert_eq!(
             dead.len(),
             self.map.modules(),
             "mask must cover every module"
         );
         self.ws.set_faults(dead, message_drop, drop_seed);
+    }
+
+    /// Kill a `fraction` of the interconnect's links (see
+    /// [`PhaseExecutor::fail_links`]).
+    pub(crate) fn fail_links(&mut self, fraction: f64, seed: u64) -> usize {
+        self.exec.fail_links(fraction, seed)
+    }
+
+    /// Whether all `r` copies of `cell` sit in dead modules.
+    pub(crate) fn cell_lost(&self, cell: usize) -> bool {
+        let dead = self.ws.dead();
+        !dead.is_empty() && self.map.copies(cell).iter().all(|&md| dead[md as usize])
     }
 
     /// Running fault counters, `None` on a healthy machine (see
@@ -135,7 +141,6 @@ impl<E: PhaseExecutor, P: CopyPlacement> MajorityScheme<E, P> {
         self.ws.faulty().then(|| FaultTotals {
             dead_attempts: self.total.protocol.dead_attempts,
             dropped_messages: self.ws.dropped_messages(),
-            dead_modules: self.ws.dead_modules() as u64,
         })
     }
 
@@ -203,7 +208,7 @@ impl<E: PhaseExecutor, P: CopyPlacement> SharedMemory for MajorityScheme<E, P> {
         // under fault injection a request may end below quorum (its viable
         // copies ran out) — reads then degrade to best-effort over the
         // copies actually reached, and a read with nothing reachable
-        // returns 0 (the cell is lost; the fault layer counts these).
+        // returns 0 (the cell is lost; see `cell_lost`).
         let read_values: Vec<Word> = reads
             .iter()
             .enumerate()

@@ -113,6 +113,13 @@ pub trait PhaseExecutor {
     fn lossy(&self) -> bool {
         false
     }
+
+    /// Kill a `fraction` of the interconnect's links, chosen from `seed`;
+    /// returns how many are dead. Only a routed interconnect has links
+    /// to lose.
+    fn fail_links(&mut self, _fraction: f64, _seed: u64) -> usize {
+        0
+    }
 }
 
 /// Per-step protocol statistics (one row of E4/E5/E10 per step).
@@ -253,8 +260,6 @@ pub struct ProtocolWorkspace {
     /// `dead[j]`: module `j` is dead. Empty when no module is, so a
     /// healthy machine never looks a module up.
     dead: Vec<bool>,
-    /// Dead modules in `dead`.
-    dead_modules: usize,
     /// Loss of served replies; `None` on a reliable network.
     drops: Option<ReplyDrops>,
 }
@@ -330,9 +335,8 @@ impl ProtocolWorkspace {
     /// with probability `message_drop`, drawn from `drop_seed`. An
     /// all-false mask and a zero rate leave the machine healthy.
     pub fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
-        self.dead_modules = dead.iter().filter(|&&d| d).count();
         self.dead.clear();
-        if self.dead_modules > 0 {
+        if dead.contains(&true) {
             self.dead.extend_from_slice(dead);
         }
         self.drops = (message_drop > 0.0).then(|| ReplyDrops {
@@ -344,12 +348,13 @@ impl ProtocolWorkspace {
 
     /// Whether any fault is in force.
     pub(crate) fn faulty(&self) -> bool {
-        self.dead_modules > 0 || self.drops.is_some()
+        !self.dead.is_empty() || self.drops.is_some()
     }
 
-    /// Dead modules in force.
-    pub(crate) fn dead_modules(&self) -> usize {
-        self.dead_modules
+    /// The dead-module mask in force; empty on a machine with no dead
+    /// module.
+    pub(crate) fn dead(&self) -> &[bool] {
+        &self.dead
     }
 
     /// Served replies the network has lost so far.
@@ -1006,7 +1011,7 @@ mod tests {
         ws.set_faults(&[false; 8], 0.0, 1);
         assert!(!ws.faulty());
         assert_eq!(single_copy_step(8, &vars, &mut ws), plain);
-        assert_eq!((ws.dead_modules(), ws.dropped_messages()), (0, 0));
+        assert_eq!((ws.dead().len(), ws.dropped_messages()), (0, 0));
     }
 
     #[test]

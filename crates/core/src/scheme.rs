@@ -7,7 +7,8 @@
 //! * [`Scheme`] — an object-safe trait, supertrait of
 //!   [`pram_machine::SharedMemory`], adding the uniform diagnostics every
 //!   scheme can answer (`name`, `redundancy`, `last_step`, `totals`,
-//!   `modules`, `params`);
+//!   `modules`, `params`) and its fault geometry (`set_faults`,
+//!   `unit_loads`, `cell_units`, `fail_links`, `cell_lost`);
 //! * [`SchemeKind`] — the closed enumeration of the zoo, with stable
 //!   string names for CLI selection (`repro --scheme hp-2dmot`);
 //! * [`SimBuilder`] — the one validated construction path: every scheme is
@@ -162,36 +163,51 @@ pub trait Scheme: SharedMemory + fmt::Debug + Send {
     /// Configuration snapshot.
     fn params(&self) -> SchemeParams;
 
-    /// Running fault-exposure counters, for schemes that inject faults
-    /// (`cr-faults`' `FaultyScheme` overrides this). `None` means the
-    /// scheme is fault-free and has nothing to report — callers use this
-    /// to decide whether to emit fault events.
-    fn fault_counters(&self) -> Option<FaultTotals> {
-        None
+    /// Put static faults on the engine: `dead[u]` kills fault unit `u`
+    /// for good, and each served copy reply is lost with probability
+    /// `message_drop`, drawn from `drop_seed`, and retried (`hashed` and
+    /// `ida` have no replies and ignore it). An all-false mask and a zero
+    /// rate leave the machine healthy.
+    fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64);
+
+    /// Copies (or IDA shares) stored per fault unit. Its length is the
+    /// number of units a [`set_faults`](Scheme::set_faults) mask covers.
+    fn unit_loads(&self) -> Vec<usize>;
+
+    /// Fill `units` with the fault units holding `cell`: its copies in
+    /// copy order, or its block's shares in share order.
+    fn cell_units(&self, cell: usize, units: &mut Vec<usize>);
+
+    /// Kill a `fraction` of the routed network's links, chosen from
+    /// `seed`; returns how many died. Only the 2DMOT schemes route over
+    /// links; every other scheme has none to lose.
+    fn fail_links(&mut self, _fraction: f64, _seed: u64) -> usize {
+        0
     }
 
-    /// Whether `addr` is statically *lost* — every stored copy of the
-    /// cell destroyed, so reads return a default rather than a value the
-    /// program wrote. Fault-free schemes lose nothing; `cr-faults`'
-    /// `FaultyScheme` overrides this from its fault plan. The trace
-    /// verifier (`cr-verify`) uses it to excuse exactly these reads from
-    /// value-legality checking — a masked fault run must verify clean.
-    fn cell_lost(&self, _addr: usize) -> bool {
-        false
-    }
+    /// Running fault-exposure counters. `None` means the machine is
+    /// healthy (no [`set_faults`](Scheme::set_faults) fault in force)
+    /// and has nothing to report.
+    fn fault_counters(&self) -> Option<FaultTotals>;
+
+    /// Whether `addr` is statically *lost* under the engine's fault mask,
+    /// so reads return a default rather than a value the program wrote:
+    /// all `r` copies dead (majority schemes), its module dead (`hashed`),
+    /// or its block below the share quorum (`ida`). The trace verifier
+    /// (`cr-verify`) excuses exactly these reads, so a masked fault run
+    /// must verify clean.
+    fn cell_lost(&self, addr: usize) -> bool;
 }
 
-/// Cumulative fault-exposure counters of a fault-injecting scheme
-/// (absolute values since construction; callers diff successive reads to
-/// get per-command deltas).
+/// Cumulative fault-exposure counters of a faulted scheme (absolute
+/// values since construction; callers diff successive reads to get
+/// per-command deltas).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultTotals {
     /// Copy-access attempts that hit a dead module or link.
     pub dead_attempts: u64,
     /// Messages dropped by the faulty network.
     pub dropped_messages: u64,
-    /// Memory modules declared permanently dead.
-    pub dead_modules: u64,
 }
 
 /// Why a [`SimBuilder`] configuration cannot be realized.
@@ -386,19 +402,17 @@ impl SimBuilder {
         }
     }
 
-    /// The module count the `hashed` baseline would be built with —
-    /// `M = 2^⌈log₂ n^1.5⌉` unless overridden. Named (like
-    /// [`fine_config`](Self::fine_config)) so external composers derive
-    /// the identical geometry.
-    pub fn hashed_modules(&self) -> usize {
+    /// The module count of the `hashed` baseline:
+    /// `M = 2^⌈log₂ n^1.5⌉` unless overridden.
+    fn hashed_modules(&self) -> usize {
         self.modules
             .unwrap_or_else(|| pow2_at_least(ipow_ceil(self.n, 1.5)))
     }
 
-    /// The validated `(modules, b, d)` layout the `ida` scheme would be
-    /// built with: `b, d = Θ(log n)` shares over `M = max(4d, n)` modules
-    /// unless overridden.
-    pub fn ida_layout(&self) -> Result<(usize, usize, usize), BuildError> {
+    /// The validated `(modules, b, d)` layout of the `ida` scheme:
+    /// `b, d = Θ(log n)` shares over `M = max(4d, n)` modules unless
+    /// overridden.
+    fn ida_layout(&self) -> Result<(usize, usize, usize), BuildError> {
         let (b, d) = ida::params_for_n(self.n);
         let modules = self.modules.unwrap_or_else(|| (4 * d).max(self.n));
         if modules < d {
@@ -430,12 +444,8 @@ impl SimBuilder {
     }
 
     /// The validated coarse-granularity (MPC-style) configuration with
-    /// `modules_default` contention units unless overridden — public for
-    /// the same reason as [`fine_config`](Self::fine_config): external
-    /// composers (e.g. the fault-injection layer in `cr-faults`) construct
-    /// the coarse baselines' concrete types and must derive the
-    /// *identical* configuration the builder would.
-    pub fn coarse_config(&self, modules_default: usize) -> Result<SchemeConfig, BuildError> {
+    /// `modules_default` contention units unless overridden.
+    fn coarse_config(&self, modules_default: usize) -> Result<SchemeConfig, BuildError> {
         self.validate()?;
         let modules = self.modules.unwrap_or(modules_default);
         let c = match self.c {
@@ -456,10 +466,10 @@ impl SimBuilder {
     }
 
     /// The zero/emptiness checks shared by every construction path, so
-    /// [`fine_config`](Self::fine_config) and external composers (the
-    /// fault layer's `FaultyBuilder`) reject the same degenerate inputs
-    /// [`build`](Self::build) does instead of panicking downstream.
-    pub fn validate(&self) -> Result<(), BuildError> {
+    /// [`fine_config`](Self::fine_config) rejects the same degenerate
+    /// inputs [`build`](Self::build) does instead of panicking
+    /// downstream.
+    fn validate(&self) -> Result<(), BuildError> {
         if self.n == 0 || self.m == 0 {
             return Err(BuildError::EmptyMachine {
                 n: self.n,

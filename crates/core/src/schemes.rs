@@ -2,8 +2,7 @@
 //!
 //! Each wraps a [`MajorityScheme`] with the right executor, placement, and
 //! parameter regime, and exposes it uniformly through the [`Scheme`] trait
-//! (plus `scheme()`/`scheme_mut()` accessors to the wrapped engine for
-//! power users and fault injection).
+//! (plus a `scheme()` accessor to the wrapped engine for power users).
 //! Construction goes through [`crate::SimBuilder`]; the `new`/`try_new`
 //! constructors taking a [`SchemeConfig`] are the escape hatch for regimes
 //! the builder does not expose.
@@ -22,12 +21,6 @@ macro_rules! impl_scheme {
             /// The wrapped step engine (stats, map, config).
             pub fn scheme(&self) -> &$engine {
                 &self.inner
-            }
-
-            /// The wrapped step engine, mutably: fault injection sets its
-            /// dead modules ([`MajorityScheme::set_unavailable`]) here.
-            pub fn scheme_mut(&mut self) -> &mut $engine {
-                &mut self.inner
             }
         }
 
@@ -62,8 +55,24 @@ macro_rules! impl_scheme {
             fn params(&self) -> SchemeParams {
                 self.inner.config().params($kind)
             }
+            fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
+                self.inner.set_faults(dead, message_drop, drop_seed)
+            }
+            fn unit_loads(&self) -> Vec<usize> {
+                self.inner.map().module_loads()
+            }
+            fn cell_units(&self, cell: usize, units: &mut Vec<usize>) {
+                units.clear();
+                units.extend(self.inner.map().copies(cell).iter().map(|&md| md as usize));
+            }
+            fn fail_links(&mut self, fraction: f64, seed: u64) -> usize {
+                self.inner.fail_links(fraction, seed)
+            }
             fn fault_counters(&self) -> Option<FaultTotals> {
                 self.inner.fault_counters()
+            }
+            fn cell_lost(&self, addr: usize) -> bool {
+                self.inner.cell_lost(addr)
             }
         }
     };

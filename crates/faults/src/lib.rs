@@ -11,12 +11,17 @@
 //!   processor faults, transient per-phase message drops, and (on the
 //!   2DMOT schemes) static link faults, placed [`Placement::Random`]ly or
 //!   [`Placement::Adversarial`]ly (aimed at the modules holding the hot
-//!   cell's copies, via the scheme's own memory distribution);
-//! * [`FaultyScheme`] / [`FaultyBuilder`] — any `SchemeKind`, built with
-//!   the identical configuration `SimBuilder` would derive, with the
-//!   plan's faults handed to the scheme itself (the copy schemes' cluster
-//!   protocol writes off copies in dead modules and retries dropped
-//!   replies), judged against the fault-free P-RAM (an ideal memory);
+//!   cell's copies, via the scheme's own memory distribution).
+//!   [`FaultPlan::inject`] puts the plan on any scheme `SimBuilder`
+//!   built, the same way for every kind: each engine reports its own
+//!   fault geometry through `cr_core::Scheme` and takes the dead-unit
+//!   mask itself (the copy schemes' cluster protocol writes off copies
+//!   in dead modules and retries dropped replies). A served faulted
+//!   session is exactly such an engine;
+//! * [`FaultyScheme`] / [`FaultyBuilder`] — experiment E14's measuring
+//!   harness: the same faulted engine, plus the plan's dead processors
+//!   and every read judged against the fault-free P-RAM (an ideal
+//!   memory);
 //! * [`FaultReport`] — what it cost: lost cells, stale reads, reads
 //!   recovered by majority / by IDA decoding, and slowdown versus a
 //!   same-seed healthy run of the same requests.

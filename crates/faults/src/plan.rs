@@ -1,15 +1,17 @@
 //! Fault plans: *what* is broken, decided deterministically before the run.
 //!
 //! A [`FaultPlan`] is pure description — fractions of the machine to break
-//! and a [`Placement`] strategy for choosing the victims. Materialization
-//! into concrete masks happens in the per-scheme builder
-//! ([`crate::FaultyBuilder`]), which knows each scheme's module universe
-//! and copy geometry; the plan itself only implements the two placement
-//! strategies over `(loads, hot modules)` supplied by the builder.
+//! and a [`Placement`] strategy for choosing the victims.
+//! [`FaultPlan::inject`] materializes it on any scheme the same way: each
+//! engine reports its own fault geometry through `cr_core::Scheme` (the
+//! copies per fault unit and the units holding a cell), the plan draws the
+//! dead-unit mask over it with one of the two placement strategies, and
+//! the engine takes the mask.
 
 use std::fmt;
 use std::str::FromStr;
 
+use cr_core::Scheme;
 use simrng::{rng_from_seed, Rng};
 
 /// How fault victims are chosen.
@@ -150,11 +152,36 @@ impl FaultPlan {
         ((fraction * universe as f64).ceil() as usize).min(universe)
     }
 
+    /// Put the plan's module faults, message drops and link faults on
+    /// `scheme`, with no per-kind code: the dead-module mask is drawn over
+    /// the scheme's own fault units ([`Scheme::unit_loads`], aimed at the
+    /// hot cell's [`Scheme::cell_units`] first when adversarial) and
+    /// handed to [`Scheme::set_faults`] with the drop rate; the 2DMOT
+    /// schemes then lose the plan's fraction of their links.
+    ///
+    /// # Panics
+    ///
+    /// If the plan kills processors. Renumbering the live processors is
+    /// not the engine's job: only [`crate::FaultyScheme`] does it, so such
+    /// a plan is built with [`crate::FaultyBuilder`].
+    pub fn inject(&self, scheme: &mut dyn Scheme) {
+        assert!(
+            self.processor_fraction == 0.0,
+            "processor faults need FaultyScheme's renumbering of live processors"
+        );
+        let loads = scheme.unit_loads();
+        let mut hot = Vec::new();
+        scheme.cell_units(self.hot_cell % scheme.size(), &mut hot);
+        let dead = self.module_mask(loads.len(), &loads, &hot);
+        scheme.set_faults(&dead, self.message_drop, self.drop_seed());
+        scheme.fail_links(self.link_fraction, self.link_seed());
+    }
+
     /// Materialize the dead-module mask over a universe of `modules`
     /// contention units. `loads[j]` is how many copy slots module `j`
     /// holds and `hot` lists the modules holding the hot cell's copies —
-    /// both supplied by the scheme-aware builder, both used only by the
-    /// adversarial placement.
+    /// both reported by the scheme (see [`Self::inject`]), both used only
+    /// by the adversarial placement.
     pub fn module_mask(&self, modules: usize, loads: &[usize], hot: &[usize]) -> Vec<bool> {
         let count = Self::count(self.module_fraction, modules);
         let mut dead = vec![false; modules];
@@ -279,6 +306,15 @@ mod tests {
             Placement::Adversarial
         );
         assert!("chaotic".parse::<Placement>().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "renumbering of live processors")]
+    fn inject_refuses_processor_faults() {
+        let mut s = cr_core::SimBuilder::new(8, 64).build().unwrap();
+        FaultPlan::none()
+            .with_processor_fraction(0.25)
+            .inject(s.as_mut());
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub struct FaultReport {
     pub dead_links: usize,
     /// Cells whose data the scheme can no longer guarantee to recover:
     /// hashed — cell's single module dead; majority — all `r` copies dead;
-    /// IDA — block left below its share quorum. Computed statically from
-    /// the plan and the memory distribution.
+    /// IDA — block left below its share quorum. The cells the engine's
+    /// `cell_lost` reports once the plan is in force, before any step.
     pub lost_cells: usize,
     /// Steps executed.
     pub steps: u64,

@@ -1,35 +1,27 @@
 //! [`FaultyScheme`]: any member of the scheme zoo, running on a broken
-//! machine, measured against the fault-free P-RAM.
+//! machine, measured against the fault-free P-RAM — experiment E14's
+//! measuring harness.
 //!
-//! [`FaultyBuilder`] builds the zoo's own scheme — same `(n, m)`, same
-//! kind, same seed, same derived configuration as `cr_core::SimBuilder`
-//! — and hands the [`FaultPlan`] to the layer that owns each fault:
+//! The faults themselves belong to the engine. [`FaultyBuilder`] builds
+//! the zoo's own scheme with `cr_core::SimBuilder` and puts the
+//! [`FaultPlan`] on it with [`FaultPlan::inject`], the same call a served
+//! faulted session makes: the copy-based schemes' cluster protocol writes
+//! off copies in dead modules and retries dropped replies, the 2DMOT
+//! schemes route around dead links, the hashed baseline loses every
+//! request aimed at a dead module, and the IDA scheme decodes from the
+//! surviving shares. Each engine also answers `cell_lost` from its own
+//! mask.
 //!
-//! * the copy-based schemes get the dead-module mask, aimed over their
-//!   own memory map, and the message-drop rate through
-//!   `MajorityScheme::set_unavailable`: their cluster protocol writes off
-//!   copies in dead modules and retries dropped replies. On the 2DMOT,
-//!   dead links go into the routed network itself;
-//! * the hashed baseline loses every request aimed at a dead module via
-//!   its unavailability mask — there is no second copy to try;
-//! * the IDA scheme recovers from surviving shares via its
-//!   unavailability mask.
-//!
-//! Ground truth is the static-fault model's reference machine: an
+//! What the harness adds is measurement: the plan's dead processors
+//! (their requests are never issued, the survivors renumbered), and
+//! ground truth — the static-fault model's reference machine, an
 //! [`IdealMemory`] that executes every intended step. Each read is
 //! classified against it, so the [`FaultReport`] counts correct / stale /
 //! lost reads instead of guessing them. The fault-free *cost* is not
 //! this scheme's business: determinism makes it the cost of a same-seed
 //! healthy run of the same requests, which callers measure directly.
 
-use cr_core::executors::MotExec;
-use cr_core::majority::{MajorityScheme, StepReport};
-use cr_core::protocol::{CopyPlacement, PhaseExecutor};
-use cr_core::{
-    BuildError, FaultTotals, HashedDmmpc, Hp2dmotLeaves, HpDmmpc, IdaShared, Lpp2dmot, Scheme,
-    SchemeKind, SchemeParams, SimBuilder, UwMpc,
-};
-use memdist::MemoryMap;
+use cr_core::{BuildError, FaultTotals, Scheme, SchemeKind, SchemeParams, SimBuilder, StepReport};
 use pram_machine::{AccessResult, IdealMemory, SharedMemory, Word};
 
 use crate::plan::FaultPlan;
@@ -93,8 +85,10 @@ impl FaultyBuilder {
         self
     }
 
-    /// Validate exactly as `SimBuilder::build` would, then construct the
-    /// scheme with its fault wiring.
+    /// Build the scheme exactly as `SimBuilder::build` would (same
+    /// validation, same errors), then put the plan on it: the plan's dead
+    /// processors stay with the harness, everything else goes to the
+    /// engine through [`FaultPlan::inject`].
     pub fn build(&self) -> Result<FaultyScheme, BuildError> {
         let FaultyBuilder {
             n,
@@ -103,157 +97,28 @@ impl FaultyBuilder {
             seed,
             plan,
         } = *self;
-        let builder = SimBuilder::new(n, m).kind(kind).seed(seed);
-        builder.validate()?;
-        let hot = plan.hot_cell % m;
-
-        // Per-kind: build the engine, the dead-module mask over the
-        // scheme's own contention units, and the per-cell classification
-        // (how many of the cell's copies/shares are faulty; is it still
-        // recoverable at all).
-        let mut dead_links = 0usize;
-        let (engine, dead_modules, faulty_copies, recoverable): (Box<dyn Scheme>, _, _, _) =
-            match kind {
-                SchemeKind::HpDmmpc => {
-                    let mut s = HpDmmpc::new(&builder.fine_config()?);
-                    let (dead, fc, rec) = fail_modules(s.scheme_mut(), &plan, hot);
-                    (Box::new(s), dead, fc, rec)
-                }
-                SchemeKind::UwMpc => {
-                    let mut s = UwMpc::try_new(&builder.coarse_config(n)?)?;
-                    let (dead, fc, rec) = fail_modules(s.scheme_mut(), &plan, hot);
-                    (Box::new(s), dead, fc, rec)
-                }
-                SchemeKind::Hp2dmotLeaves => {
-                    let mut s = Hp2dmotLeaves::new(&builder.fine_config()?);
-                    let (dead, fc, rec) = fail_modules(s.scheme_mut(), &plan, hot);
-                    dead_links = fail_links(s.scheme_mut().executor_mut(), &plan);
-                    (Box::new(s), dead, fc, rec)
-                }
-                SchemeKind::Lpp2dmot => {
-                    let mut s = Lpp2dmot::try_new(&builder.coarse_config(n.max(2))?)?;
-                    let (dead, fc, rec) = fail_modules(s.scheme_mut(), &plan, hot);
-                    dead_links = fail_links(s.scheme_mut().executor_mut(), &plan);
-                    (Box::new(s), dead, fc, rec)
-                }
-                SchemeKind::Hashed => {
-                    let modules = builder.hashed_modules();
-                    let mut inner = HashedDmmpc::new(n, m, modules, seed);
-                    let mut loads = vec![0usize; modules];
-                    for v in 0..m {
-                        loads[inner.module_of(v)] += 1;
-                    }
-                    let dead = plan.module_mask(modules, &loads, &[inner.module_of(hot)]);
-                    // The only copy is gone: a faulty cell is a lost cell.
-                    let fc: Vec<u32> = (0..m)
-                        .map(|v| u32::from(dead[inner.module_of(v)]))
-                        .collect();
-                    let rec = fc.iter().map(|&c| c == 0).collect();
-                    inner.set_unavailable(&dead);
-                    (Box::new(inner), dead, fc, rec)
-                }
-                SchemeKind::Ida => {
-                    let (modules, b, d) = builder.ida_layout()?;
-                    let mut inner = IdaShared::new(n, m, modules, b, d);
-                    let store = inner.store();
-                    let vars_per_block = store.vars_per_block();
-                    let blocks = m.div_ceil(vars_per_block);
-                    let q = store.quorum();
-                    let mut loads = vec![0usize; modules];
-                    for blk in 0..blocks {
-                        for i in 0..d {
-                            loads[store.module_of_share(blk, i)] += 1;
-                        }
-                    }
-                    let hot_blk = hot / vars_per_block;
-                    let hot_modules: Vec<usize> =
-                        (0..d).map(|i| store.module_of_share(hot_blk, i)).collect();
-                    let dead = plan.module_mask(modules, &loads, &hot_modules);
-                    let mut fc = vec![0u32; m];
-                    let mut rec = vec![true; m];
-                    for blk in 0..blocks {
-                        let dead_shares = (0..d)
-                            .filter(|&i| dead[store.module_of_share(blk, i)])
-                            .count();
-                        let block_ok = d - dead_shares >= q;
-                        for v in blk * vars_per_block..((blk + 1) * vars_per_block).min(m) {
-                            fc[v] = dead_shares as u32;
-                            rec[v] = block_ok;
-                        }
-                    }
-                    inner.set_unavailable(&dead);
-                    (Box::new(inner), dead, fc, rec)
-                }
-            };
-
+        let engine = SimBuilder::new(n, m).kind(kind).seed(seed).build()?;
         let dead_procs = plan.processor_mask(n);
-        let report = FaultReport {
-            dead_modules: dead_modules.iter().filter(|&&d| d).count(),
-            dead_processors: dead_procs.iter().filter(|&&d| d).count(),
-            dead_links,
-            lost_cells: recoverable.iter().filter(|&&ok| !ok).count(),
-            ..Default::default()
-        };
-        Ok(FaultyScheme {
-            kind,
+        let mut s = FaultyScheme {
             engine,
             truth: IdealMemory::new(m),
             plan,
+            report: FaultReport {
+                dead_processors: dead_procs.iter().filter(|&&d| d).count(),
+                ..Default::default()
+            },
             dead_procs,
-            faulty_copies,
-            recoverable,
-            report,
+            faulty_copies: vec![0; m],
             live_reads: Vec::with_capacity(n),
             live_writes: Vec::with_capacity(n),
-        })
+        };
+        FaultPlan {
+            processor_fraction: 0.0,
+            ..plan
+        }
+        .inject(&mut s);
+        Ok(s)
     }
-}
-
-/// Put a plan's module faults and message drops on a majority scheme:
-/// the dead-module mask over the scheme's own memory map (adversarial
-/// placement aims at the hot cell's copy modules, then map load), plus
-/// the per-cell classification. One function, so the four majority arms
-/// of [`FaultyBuilder::build`] cannot diverge.
-fn fail_modules<E: PhaseExecutor, P: CopyPlacement>(
-    s: &mut MajorityScheme<E, P>,
-    plan: &FaultPlan,
-    hot: usize,
-) -> (Vec<bool>, Vec<u32>, Vec<bool>) {
-    let map = s.map();
-    let hot_modules: Vec<usize> = map.copies(hot).iter().map(|&md| md as usize).collect();
-    let dead = plan.module_mask(map.modules(), &map.module_loads(), &hot_modules);
-    let (fc, rec) = classify_map(map, &dead);
-    s.set_unavailable(&dead, plan.message_drop, plan.drop_seed());
-    (dead, fc, rec)
-}
-
-/// Kill the plan's fraction of a routed network's links; returns how
-/// many died.
-fn fail_links(exec: &mut MotExec, plan: &FaultPlan) -> usize {
-    if plan.link_fraction > 0.0 {
-        exec.network_mut()
-            .fail_random_links(plan.link_fraction, plan.link_seed())
-    } else {
-        0
-    }
-}
-
-/// Per-cell fault classification over a replicated memory map: how many of
-/// each cell's copies sit in dead modules, and whether any copy survives.
-fn classify_map(map: &MemoryMap, dead: &[bool]) -> (Vec<u32>, Vec<bool>) {
-    let r = map.redundancy();
-    let mut faulty = vec![0u32; map.vars()];
-    let mut recoverable = vec![true; map.vars()];
-    for v in 0..map.vars() {
-        let fc = map
-            .copies(v)
-            .iter()
-            .filter(|&&md| dead[md as usize])
-            .count();
-        faulty[v] = fc as u32;
-        recoverable[v] = fc < r;
-    }
-    (faulty, recoverable)
 }
 
 /// A scheme from the zoo running under a [`FaultPlan`], judged against
@@ -262,7 +127,6 @@ fn classify_map(map: &MemoryMap, dead: &[bool]) -> (Vec<u32>, Vec<bool>) {
 /// [`Self::report`] for what the faults cost.
 #[derive(Debug)]
 pub struct FaultyScheme {
-    kind: SchemeKind,
     /// The zoo's own scheme, with its faults set.
     engine: Box<dyn Scheme>,
     /// The fault-free P-RAM: every intended write lands here.
@@ -271,8 +135,6 @@ pub struct FaultyScheme {
     dead_procs: Vec<bool>,
     /// Per cell: copies/shares of this cell residing in dead modules.
     faulty_copies: Vec<u32>,
-    /// Per cell: whether the scheme can still guarantee recovery.
-    recoverable: Vec<bool>,
     report: FaultReport,
     /// The requests live processors issue (reused across steps, sized
     /// for `n` processors at build).
@@ -301,9 +163,10 @@ impl FaultyScheme {
         self.report.lost_cells
     }
 
-    /// Whether `cell` is still recoverable under the plan.
+    /// Whether `cell` is still recoverable under the plan (the engine
+    /// has not lost it).
     pub fn is_recoverable(&self, cell: usize) -> bool {
-        self.recoverable[cell]
+        !self.engine.cell_lost(cell)
     }
 
     /// How many of `cell`'s copies/shares sit in dead modules.
@@ -362,12 +225,12 @@ impl SharedMemory for FaultyScheme {
             self.report.reads += 1;
             if dead_proc(i) {
                 self.report.unserved_reads += 1;
-            } else if !self.recoverable[a] {
+            } else if self.engine.cell_lost(a) {
                 self.report.lost_reads += 1;
             } else if res.read_values[i] == truth[a] {
                 self.report.correct_reads += 1;
                 if self.faulty_copies[a] > 0 {
-                    match self.kind {
+                    match self.engine.kind() {
                         SchemeKind::Ida => self.report.recovered_ida += 1,
                         SchemeKind::Hashed => unreachable!("faulty hashed cell is lost"),
                         _ => self.report.recovered_majority += 1,
@@ -381,7 +244,7 @@ impl SharedMemory for FaultyScheme {
         self.report.writes += writes.len() as u64;
         self.report.lost_writes += writes
             .iter()
-            .filter(|&&(a, _)| !self.recoverable[a])
+            .filter(|&&(a, _)| self.engine.cell_lost(a))
             .count() as u64;
 
         self.report.steps += 1;
@@ -399,7 +262,7 @@ impl SharedMemory for FaultyScheme {
 
 impl Scheme for FaultyScheme {
     fn kind(&self) -> SchemeKind {
-        self.kind
+        self.engine.kind()
     }
 
     fn redundancy(&self) -> f64 {
@@ -422,15 +285,39 @@ impl Scheme for FaultyScheme {
         self.engine.params()
     }
 
+    /// The engine takes the faults; the harness recounts what they cost
+    /// each cell for its report.
+    fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
+        self.engine.set_faults(dead, message_drop, drop_seed);
+        let mut units = Vec::new();
+        for (cell, faulty) in self.faulty_copies.iter_mut().enumerate() {
+            self.engine.cell_units(cell, &mut units);
+            *faulty = units.iter().filter(|&&u| dead[u]).count() as u32;
+        }
+        self.report.dead_modules = dead.iter().filter(|&&d| d).count();
+        self.report.lost_cells = (0..self.faulty_copies.len())
+            .filter(|&cell| self.engine.cell_lost(cell))
+            .count();
+    }
+
+    fn unit_loads(&self) -> Vec<usize> {
+        self.engine.unit_loads()
+    }
+
+    fn cell_units(&self, cell: usize, units: &mut Vec<usize>) {
+        self.engine.cell_units(cell, units)
+    }
+
+    fn fail_links(&mut self, fraction: f64, seed: u64) -> usize {
+        self.report.dead_links = self.engine.fail_links(fraction, seed);
+        self.report.dead_links
+    }
+
     fn fault_counters(&self) -> Option<FaultTotals> {
-        let counters = self.engine.fault_counters().unwrap_or_default();
-        Some(FaultTotals {
-            dead_modules: self.report.dead_modules as u64,
-            ..counters
-        })
+        self.engine.fault_counters()
     }
 
     fn cell_lost(&self, addr: usize) -> bool {
-        !self.recoverable.get(addr).copied().unwrap_or(true)
+        self.engine.cell_lost(addr)
     }
 }

@@ -3,15 +3,16 @@
 //! The ROADMAP's north star is a system that serves heavy concurrent
 //! traffic; this crate is the serving layer over the zero-alloc step
 //! engine. It multiplexes thousands of live simulation **sessions** — each
-//! a [`cr_core::Scheme`] built from a [`SessionSpec`], optionally
-//! fault-wrapped via `cr-faults` — across N **shards** (one worker thread
-//! plus one bounded `std::sync::mpsc` command queue each). Sessions are
-//! hash-routed by id, carry budgets (a step ceiling and an idle TTL), and
-//! expose their read/write **trace hash** as a first-class artifact: two
-//! sessions with the same spec produce the same hash no matter how many
-//! shards the service runs, so a client can verify a deployment
-//! byte-for-byte (Wei et al., "Verifying PRAM Consistency over Read/Write
-//! Traces of Data Replicas", motivates exactly this handle).
+//! a [`cr_core::Scheme`] built from a [`SessionSpec`], optionally with
+//! module faults put on its engine via `cr-faults` — across N **shards**
+//! (one worker thread plus one bounded `std::sync::mpsc` command queue
+//! each). Sessions are hash-routed by id, carry budgets (a step ceiling
+//! and an idle TTL), and expose their read/write **trace hash** as a
+//! first-class artifact: two sessions with the same spec produce the same
+//! hash no matter how many shards the service runs, so a client can verify
+//! a deployment byte-for-byte (Wei et al., "Verifying PRAM Consistency
+//! over Read/Write Traces of Data Replicas", motivates exactly this
+//! handle).
 //!
 //! Three entry points, one service:
 //!

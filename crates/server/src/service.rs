@@ -36,7 +36,7 @@ use crate::runtime::{chan, ChanTx, TaskHandle};
 use crate::session::{SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 use crate::shard::{
     spawn_shard, Job, OpenInfo, Reply, ShardCmd, ShardCore, ShardObs, TraceInfo, VerifyInfo,
-    VerifySummary, EVENTS_CAPACITY, QUEUE_CAPACITY,
+    VerifySummary, QUEUE_CAPACITY,
 };
 
 /// Default idle-sweep cadence: how often a shard driver checks for
@@ -52,9 +52,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Per-shard bounded queue capacity (the backpressure knob).
     pub queue_capacity: usize,
-    /// Per-shard event-ring capacity (most recent events kept for
-    /// `EVENTS`; the overflow is counted, not silently lost).
-    pub events_capacity: usize,
     /// How often each shard driver runs its idle-TTL sweep.
     pub sweep_every: Duration,
     /// Time source for session timestamps, step latency, and idle-TTL
@@ -68,7 +65,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 4,
             queue_capacity: QUEUE_CAPACITY,
-            events_capacity: EVENTS_CAPACITY,
             sweep_every: DEFAULT_SWEEP_EVERY,
             clock: SimClock::monotonic(),
         }
@@ -249,7 +245,6 @@ pub fn build_cores(cfg: &ServiceConfig) -> (Vec<ShardCore>, Registry) {
             shard,
             obs,
             cfg.queue_capacity.max(1),
-            cfg.events_capacity,
             cfg.clock.clone(),
         ));
     }

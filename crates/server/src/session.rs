@@ -13,7 +13,7 @@
 
 use cr_core::clock::{SimClock, Tick};
 use cr_core::{FaultTotals, Scheme, SchemeKind, SimBuilder};
-use cr_faults::{FaultPlan, FaultyBuilder};
+use cr_faults::FaultPlan;
 use cr_obs::SharedHistogram;
 use cr_verify::{SessionVerifier, VerifyDelta, VerifyMode, VerifyReport};
 use pram_machine::Word;
@@ -53,7 +53,8 @@ pub struct SessionSpec {
     pub c: Option<usize>,
     /// Seed of the memory distribution *and* the workload stream.
     pub seed: u64,
-    /// Module-fault fraction; `> 0` wraps the scheme via `cr-faults`.
+    /// Module-fault fraction; `> 0` kills that share of the scheme's
+    /// modules (`cr-faults`' `FaultPlan::modules`, seeded by `seed`).
     pub fault_fraction: f64,
     /// Step budget: further `STEP`s fail once spent.
     pub max_steps: u64,
@@ -212,9 +213,10 @@ pub struct Session {
 }
 
 impl Session {
-    /// Build the session's scheme (fault-wrapped when the spec asks) and
-    /// seed its workload stream. `now` is the opening shard's clock
-    /// reading — the session's first touch stamp.
+    /// Build the session's scheme with `SimBuilder`, put the spec's
+    /// module faults on its engine (`FaultPlan::inject`), and seed its
+    /// workload stream. `now` is the opening shard's clock reading — the
+    /// session's first touch stamp.
     pub fn open(spec: SessionSpec, now: Tick) -> Result<Session, ServeError> {
         if spec.max_steps == 0 {
             return Err(ServeError::BadRequest("max-steps must be positive".into()));
@@ -230,28 +232,24 @@ impl Session {
                 spec.n, spec.m
             )));
         }
+        let faulty = spec.fault_fraction > 0.0;
+        if faulty && spec.c.is_some() {
+            return Err(ServeError::BadRequest(
+                "faults and an explicit c cannot be combined".into(),
+            ));
+        }
         let mut builder = SimBuilder::new(spec.n, spec.m)
             .kind(spec.kind)
             .seed(spec.seed);
         if let Some(c) = spec.c {
             builder = builder.c(c);
         }
-        let scheme: Box<dyn Scheme> = if spec.fault_fraction > 0.0 {
-            if spec.c.is_some() {
-                return Err(ServeError::BadRequest(
-                    "faults and an explicit c cannot be combined".into(),
-                ));
-            }
-            Box::new(
-                FaultyBuilder::new(spec.n, spec.m)
-                    .kind(spec.kind)
-                    .seed(spec.seed)
-                    .plan(FaultPlan::modules(spec.fault_fraction).with_seed(spec.seed))
-                    .build()?,
-            )
-        } else {
-            builder.build()?
-        };
+        let mut scheme = builder.build()?;
+        if faulty {
+            FaultPlan::modules(spec.fault_fraction)
+                .with_seed(spec.seed)
+                .inject(scheme.as_mut());
+        }
         // The workload stream is decorrelated from the memory map but
         // derived from the same seed: spec ⇒ behavior, shard-independent.
         let rng = rng_from_seed(simrng::mix64(spec.seed ^ 0x5E55_1011));
@@ -440,8 +438,9 @@ impl Session {
             // The verification seam sits right next to the trace-hash
             // update: the same (addresses, values) batch the hash folds
             // in is what the PRAM checker sees, stamped with the
-            // command's tick. Reads of cells the fault layer lost are
-            // recorded excused — quorum-masked faults verify clean.
+            // command's tick. Reads of cells the engine lost to its
+            // faults are recorded excused — quorum-masked faults verify
+            // clean.
             let (r_addrs, w_vals): (&[usize], &[(usize, Word)]) = match workload {
                 WorkloadSpec::Raw { reads, writes } => (reads, writes),
                 _ => (&self.pattern.reads, &self.pattern.writes),
@@ -684,9 +683,9 @@ mod tests {
     #[test]
     fn masked_faults_verify_clean_across_the_zoo() {
         // Statically lost cells read back a default, not a program
-        // value; the fault layer reports them and the checker excuses
-        // exactly those reads — so every scheme, fault-wrapped at the
-        // standard 12.5% module-fault fraction, must verify clean.
+        // value; the engine reports them and the checker excuses exactly
+        // those reads — so every scheme, faulted at the standard 12.5%
+        // module-fault fraction, must verify clean.
         let h = SharedHistogram::new();
         for kind in SchemeKind::ALL {
             let spec = SessionSpec::new(8, 64, kind).seed(11).faults(0.125);

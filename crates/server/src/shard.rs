@@ -205,7 +205,7 @@ pub struct ShardCore {
     /// sessions in sid order — deterministic, unlike a RandomState map.
     sessions: BTreeMap<u64, Session>,
     obs: ShardObs,
-    /// Structured trace events, most recent `events_capacity` kept.
+    /// Structured trace events, most recent [`EVENTS_CAPACITY`] kept.
     ring: EventRing,
     /// The queue capacity the service configured — the threshold for
     /// queue-full detection at dequeue time.
@@ -227,14 +227,13 @@ impl ShardCore {
         shard: usize,
         obs: ShardObs,
         queue_capacity: usize,
-        events_capacity: usize,
         clock: SimClock,
     ) -> ShardCore {
         ShardCore {
             shard,
             sessions: BTreeMap::new(),
             obs,
-            ring: EventRing::with_capacity(events_capacity),
+            ring: EventRing::with_capacity(EVENTS_CAPACITY),
             queue_capacity,
             clock,
             down: false,

@@ -48,8 +48,6 @@ pub struct SimConfig {
     pub chaos: bool,
     /// Per-shard queue capacity (small by default so storms saturate).
     pub queue_capacity: usize,
-    /// Per-shard event-ring capacity.
-    pub events_capacity: usize,
     /// Sweep cadence (virtual).
     pub sweep_every: Duration,
     /// Session idle TTL (virtual; `ttl-ms` wire granularity, so ≥1ms).
@@ -70,7 +68,6 @@ impl Default for SimConfig {
             m: 64,
             chaos: false,
             queue_capacity: 32,
-            events_capacity: 4096,
             sweep_every: Duration::from_micros(500),
             ttl: Duration::from_millis(2),
             chaos_every: Duration::from_micros(250),
@@ -125,7 +122,6 @@ pub fn run(cfg: &SimConfig) -> SimReport {
     let mut service = SimService::new(&ServiceConfig {
         shards: cfg.shards.max(1),
         queue_capacity: cfg.queue_capacity,
-        events_capacity: cfg.events_capacity,
         sweep_every: cfg.sweep_every,
         clock: clock.clone(),
     });

@@ -29,7 +29,7 @@
 //! * `full` — ring plus a bounded, preallocated spill retaining the
 //!   complete trace prefix, for offline re-verification.
 //!
-//! Fault-injected sessions stay honest: reads the fault layer counts as
+//! Fault-injected sessions stay honest: reads the scheme reports as
 //! *lost* (every copy of the cell destroyed — the quorum machinery
 //! returns a default, not a stale value) are recorded **excused** and
 //! skip the value-legality check, so a masked fault run verifies clean

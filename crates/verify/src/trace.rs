@@ -14,8 +14,8 @@ use pram_machine::Word;
 /// `flags` bit 0: set for writes, clear for reads.
 const FLAG_WRITE: u32 = 1;
 
-/// `flags` bit 1: the read was *excused* — the fault layer reported the
-/// cell statically lost, so value legality is not checked.
+/// `flags` bit 1: the read was *excused* — the scheme reported the cell
+/// statically lost, so value legality is not checked.
 const FLAG_EXCUSED: u32 = 2;
 
 /// One recorded memory operation: fixed-size, `Copy`, no heap parts.

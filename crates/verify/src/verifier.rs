@@ -141,8 +141,8 @@ impl SessionVerifier {
     /// then `writes` stored their values (addresses within a step are
     /// distinct, so the read/write order inside the step is immaterial —
     /// this fixed order keeps the trace deterministic). `lost` reports
-    /// whether the fault layer considers a cell statically
-    /// unrecoverable; those reads are recorded excused.
+    /// whether the scheme considers a cell statically unrecoverable
+    /// (`Scheme::cell_lost`); those reads are recorded excused.
     // lint: hot
     #[inline]
     pub fn record_step(
@@ -255,7 +255,7 @@ mod tests {
     fn excused_reads_keep_faulty_sessions_clean() {
         let mut v = SessionVerifier::new(VerifyMode::Ring, 16);
         v.record_step(0, &[], &[], &[(5, 9)], |_| false);
-        // The cell is lost: the quorum returns 0, the fault layer says so.
+        // The cell is lost: the quorum returns 0, the scheme says so.
         let d = v.record_step(1, &[5], &[0], &[], |a| a == 5);
         assert!(!d.violated);
         let rep = v.report();

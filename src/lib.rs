@@ -17,9 +17,10 @@
 //! * [`core`] — the simulation schemes themselves (the paper's
 //!   contribution plus all baselines), unified behind the object-safe
 //!   [`core::Scheme`] trait and constructed via [`core::SimBuilder`];
-//! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`] /
-//!   [`faults::FaultyBuilder`]): every scheme under module, processor,
-//!   link, and message faults, each read judged against an ideal memory;
+//! * [`faults`] — deterministic fault injection: [`faults::FaultPlan`]
+//!   puts module, link, and message faults on any scheme's engine, and
+//!   [`faults::FaultyBuilder`] adds processor faults and E14's harness,
+//!   which judges each read against an ideal memory;
 //! * [`serve`] — the sharded session service: thousands of concurrent
 //!   simulations multiplexed across worker shards, in-process
 //!   ([`serve::Service`]) or over TCP ([`serve::tcp::Server`]);

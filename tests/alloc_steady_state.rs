@@ -85,7 +85,9 @@ fn dmmpc_protocol_steps_allocate_nothing_after_warmup() {
 
 /// Every member of the zoo is bounded by the API's one unavoidable
 /// allocation per step — the returned `read_values` vector — once warm,
-/// healthy or running under module faults. This pins the regression
+/// healthy or running under module faults, both as a served faulted
+/// session runs it (the engine itself, faulted by `FaultPlan::inject`)
+/// and inside E14's measuring harness. This pins the regression
 /// class the IDA/hashed flattening fixed (per-step `HashMap`s,
 /// Vec-returning codec calls, per-request `collect()`s): a scheme whose
 /// data plane re-grows hidden allocations fails its own row here, by
@@ -104,6 +106,12 @@ fn every_scheme_allocates_at_most_the_result_vector_per_step() {
             .seed(9)
             .build()
             .expect("zoo regimes are feasible");
+        let mut served = SimBuilder::new(n, m)
+            .kind(kind)
+            .seed(9)
+            .build()
+            .expect("zoo regimes are feasible");
+        FaultPlan::modules(0.125).inject(served.as_mut());
         let faulty = FaultyBuilder::new(n, m)
             .kind(kind)
             .seed(9)
@@ -111,6 +119,7 @@ fn every_scheme_allocates_at_most_the_result_vector_per_step() {
             .build()
             .expect("zoo regimes are feasible under faults");
         inputs.push(("healthy", kind, healthy));
+        inputs.push(("faulted engine", kind, served));
         inputs.push(("faulty", kind, Box::new(faulty)));
     }
     for (label, kind, mut s) in inputs {

@@ -18,7 +18,8 @@
 use pramsim::core::{Scheme, SchemeKind, SimBuilder};
 use pramsim::faults::{FaultPlan, FaultyBuilder, FaultyScheme, Placement};
 use pramsim::machine::SharedMemory;
-use pramsim::simrng::{rng_from_seed, Rng};
+use pramsim::serve::{Session, SessionSpec, SharedHistogram, SimClock, Tick, WorkloadSpec};
+use pramsim::simrng::{fnv1a, rng_from_seed, Rng, FNV_OFFSET};
 
 const SEED: u64 = 0xFA01;
 
@@ -223,5 +224,69 @@ fn faulty_builder_reports_and_rejects_like_sim_builder() {
             let got = FaultyBuilder::new(n, m).kind(kind).build().unwrap_err();
             assert_eq!(got, want, "{kind} n={n} m={m}");
         }
+    }
+}
+
+/// A served faulted session is the engine itself, its plan put on it by
+/// `FaultPlan::inject`; E14's harness builds the same engine through the
+/// same call and only adds measurement around it. Stepped through the
+/// same requests (64 uniform steps, then 64 hotspot steps), the two must
+/// agree step by step on every read value and cost (the session's trace
+/// hash folds both), on `last_step()` and `totals()`, and on which cells
+/// are lost. The benchmark's output check and its traced shadow, which
+/// build the harness, rely on this.
+#[test]
+fn served_faulted_engine_equals_the_harness() {
+    let (latency, clock) = (SharedHistogram::new(), SimClock::manual());
+    for kind in SchemeKind::ALL {
+        let (n, m) = match kind {
+            SchemeKind::Hp2dmotLeaves | SchemeKind::Lpp2dmot => (16, 64),
+            _ => (16, 256),
+        };
+        let spec = SessionSpec::new(n, m, kind).seed(SEED).faults(0.125);
+        let mut session = Session::open(spec, Tick::ZERO).unwrap();
+        let mut harness = build(kind, n, m, FaultPlan::modules(0.125).with_seed(SEED));
+        for cell in 0..m {
+            assert_eq!(
+                session.scheme().cell_lost(cell),
+                harness.cell_lost(cell),
+                "{kind}: cell {cell}"
+            );
+        }
+        let zipf = workloads::Zipf::new(m, 1.2);
+        let mut rng = rng_from_seed(SEED ^ 0x5E);
+        let mut trace = FNV_OFFSET;
+        for step in 0..128 {
+            let p = if step < 64 {
+                workloads::uniform(n, m, 0.3, &mut rng)
+            } else {
+                workloads::hotspot(n, &zipf, &mut rng)
+            };
+            let res = harness.access(&p.reads, &p.writes);
+            let raw = WorkloadSpec::Raw {
+                reads: p.reads,
+                writes: p.writes,
+            };
+            let sum = session.step(&raw, 1, &latency, &clock).unwrap();
+            for &v in &res.read_values {
+                fnv1a(&mut trace, v as u64);
+            }
+            for x in [res.cost.phases, res.cost.cycles, res.cost.messages] {
+                fnv1a(&mut trace, x);
+            }
+            assert_eq!(session.trace(), trace, "{kind} step {step}: reads or cost");
+            assert_eq!(
+                (sum.phases, sum.cycles, sum.messages),
+                (res.cost.phases, res.cost.cycles, res.cost.messages),
+                "{kind} step {step}"
+            );
+            assert_eq!(
+                session.scheme().last_step(),
+                harness.last_step(),
+                "{kind} step {step}"
+            );
+        }
+        assert_eq!(session.scheme().totals(), harness.totals(), "{kind}");
+        assert_eq!(session.verify_report().verdict(), "consistent", "{kind}");
     }
 }
