@@ -32,6 +32,12 @@
 //! step, so the steady-state protocol path performs **zero heap
 //! allocations** — verified by `tests/alloc_steady_state.rs`.
 //!
+//! A phase issues each copy with its module read straight from the
+//! memory map and its grid row from the [`CopyPlacement`], and folds the
+//! executor's outcomes without a branch: every attempt writes its copy
+//! into the request's next quorum slot, and only a served one advances
+//! past it.
+//!
 //! ## Faults
 //!
 //! The machine knows which of its modules are dead (the static-fault
@@ -175,20 +181,23 @@ impl ProtocolStats {
     }
 }
 
-/// Placement of copies on the machine: contention unit and grid row,
-/// derived from the memory map.
+/// Where a copy sits beyond its contention unit. The unit itself (the
+/// module on a DMMPC, the column on the 2DMOT) is the memory map's
+/// `map.copies(var)[copy]`, read at issue; a placement adds only the
+/// grid row.
 pub trait CopyPlacement {
-    /// `(module, row)` of copy `copy` of variable `var` under `map`.
-    fn place(&self, map: &MemoryMap, var: usize, copy: usize) -> (usize, usize);
+    /// Grid row of copy `copy` of variable `var`.
+    fn row(&self, var: usize, copy: usize) -> u32;
 }
 
-/// DMMPC placement: the map's module, no grid row.
+/// DMMPC placement: no grid, so every copy sits in row 0.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatPlacement;
 
 impl CopyPlacement for FlatPlacement {
-    fn place(&self, map: &MemoryMap, var: usize, copy: usize) -> (usize, usize) {
-        (map.module_of(var, copy), 0)
+    #[inline]
+    fn row(&self, _var: usize, _copy: usize) -> u32 {
+        0
     }
 }
 
@@ -197,15 +206,15 @@ impl CopyPlacement for FlatPlacement {
 /// storage but does not affect contention.
 #[derive(Debug, Clone, Copy)]
 pub struct GridPlacement {
-    /// Grid side.
+    /// Grid side, a power of two (the row is the hash masked by it).
     pub side: usize,
 }
 
 impl CopyPlacement for GridPlacement {
-    fn place(&self, map: &MemoryMap, var: usize, copy: usize) -> (usize, usize) {
-        let col = map.module_of(var, copy);
-        let row = (simrng::mix64(((var as u64) << 20) | copy as u64) % self.side as u64) as usize;
-        (col, row)
+    #[inline]
+    fn row(&self, var: usize, copy: usize) -> u32 {
+        debug_assert!(self.side.is_power_of_two());
+        (simrng::mix64(((var as u64) << 20) | copy as u64) & (self.side as u64 - 1)) as u32
     }
 }
 
@@ -250,13 +259,6 @@ pub struct ProtocolWorkspace {
     cluster_reqs: Vec<u32>,
     /// Counting-sort scratch for the CSR fill.
     fill: Vec<u32>,
-    /// Per-step placement cache, stride `r`: copy placements are
-    /// deterministic in `(var, copy)`, so they are computed once when a
-    /// request first issues and replayed from here on every retry.
-    place_module: Vec<u32>,
-    place_row: Vec<u32>,
-    /// Whether request `i`'s placements are cached yet this step.
-    placed: Vec<bool>,
     /// `dead[j]`: module `j` is dead. Empty when no module is, so a
     /// healthy machine never looks a module up.
     dead: Vec<bool>,
@@ -323,11 +325,6 @@ impl ProtocolWorkspace {
         self.cluster_reqs.resize(len, 0);
         self.fill.clear();
         self.fill.resize(nclusters, 0);
-        // The placement cache needs no reset: reads are gated by `placed`.
-        self.place_module.resize(len * r, 0);
-        self.place_row.resize(len * r, 0);
-        self.placed.clear();
-        self.placed.resize(len, false);
     }
 
     /// Put the machine's faults under the protocol (see the module docs):
@@ -397,9 +394,6 @@ struct StepState<'a, P: CopyPlacement> {
     cluster_start: &'a [u32],
     cluster_cursor: &'a mut [u32],
     cluster_reqs: &'a [u32],
-    place_module: &'a mut [u32],
-    place_row: &'a mut [u32],
-    placed: &'a mut [bool],
     dead: &'a [bool],
     drops: Option<&'a mut ReplyDrops>,
 }
@@ -450,20 +444,26 @@ impl<P: CopyPlacement> StepState<'_, P> {
         }
         stats.cycles += cost.cycles;
         stats.messages += cost.messages;
+        // Branch-free fold: the copy is written at the request's next
+        // quorum slot whatever the outcome, and only a served attempt
+        // advances the length, the mask and the count past it. An issued
+        // copy is untried, so the slot is always inside the request's
+        // stride.
+        let mut served = 0u64;
         for (a, &out) in self.attempts.iter().zip(self.outcome.iter()) {
             let (req, copy) = (a.req as usize, a.copy as usize);
-            match out {
-                AttemptOutcome::Served => {
-                    stats.copies_accessed += 1;
-                    // Record even past c: extra accessed copies strengthen
-                    // the quorum at no additional cost.
-                    self.accessed[req * self.r + self.accessed_len[req] as usize] = copy;
-                    self.accessed_len[req] += 1;
-                    self.accessed_mask[req * self.words + copy / 64] |= 1 << (copy % 64);
-                }
-                AttemptOutcome::Killed => stats.killed_attempts += 1,
-            }
+            let hit = u32::from(out == AttemptOutcome::Served);
+            let len = self.accessed_len[req];
+            debug_assert!((len as usize) < self.r, "an issued copy is untried");
+            // Record even past c: extra accessed copies strengthen the
+            // quorum at no additional cost.
+            self.accessed[req * self.r + len as usize] = copy;
+            self.accessed_len[req] = len + hit;
+            self.accessed_mask[req * self.words + copy / 64] |= u64::from(hit) << (copy % 64);
+            served += u64::from(hit);
         }
+        stats.copies_accessed += served;
+        stats.killed_attempts += self.attempts.len() as u64 - served;
         true
     }
 
@@ -478,33 +478,24 @@ impl<P: CopyPlacement> StepState<'_, P> {
         for k in 0..self.clusters.count() {
             let reqs = &self.cluster_reqs
                 [self.cluster_start[k] as usize..self.cluster_start[k + 1] as usize];
-            if reqs.is_empty() {
-                continue;
-            }
             // Rotate to this cluster's next live request.
+            let mut at = self.cluster_cursor[k] as usize;
             let mut chosen = None;
-            for off in 0..reqs.len() {
-                let i = reqs[(self.cluster_cursor[k] as usize + off) % reqs.len()] as usize;
+            for _ in 0..reqs.len() {
+                let i = reqs[at] as usize;
+                at += 1;
+                if at == reqs.len() {
+                    at = 0;
+                }
                 if self.live(i) {
                     chosen = Some(i);
-                    self.cluster_cursor[k] =
-                        ((self.cluster_cursor[k] as usize + off + 1) % reqs.len()) as u32;
+                    self.cluster_cursor[k] = at as u32;
                     break;
                 }
             }
             let Some(i) = chosen else { continue };
             let (_, var) = self.requests[i];
-            // Placements are deterministic in (var, copy): compute them
-            // once, on the request's first issue, and replay the cache on
-            // every retry phase.
-            if !self.placed[i] {
-                self.placed[i] = true;
-                for copy in 0..self.r {
-                    let (module, row) = self.placement.place(self.map, var, copy);
-                    self.place_module[i * self.r + copy] = module as u32;
-                    self.place_row[i * self.r + copy] = row as u32;
-                }
-            }
+            let modules = self.map.copies(var);
             // One cluster member per untried copy. The assignment rotates
             // with the phase counter: a copy retried in a later phase is
             // issued by a *different* cluster member, so a route blocked
@@ -513,12 +504,11 @@ impl<P: CopyPlacement> StepState<'_, P> {
             // fault-tolerant P-RAM literature) instead of re-issuing the
             // identical doomed attempt forever. Cluster members are a
             // contiguous processor range, so the rotation is pure index
-            // arithmetic — no member list is materialized.
-            let members = self
-                .clusters
-                .members(self.clusters.cluster_of(self.requests[i].0));
+            // arithmetic — no member list is materialized. The CSR bucket
+            // is the requesting processor's cluster.
+            let members = self.clusters.members(k);
             let mlen = members.len();
-            let mut member = phase as usize;
+            let mut member = (phase % mlen as u64) as usize;
             // The untried copies, one 64-copy word at a time (one word for
             // every configured scheme: r ≤ 64).
             for w in 0..self.words {
@@ -534,7 +524,7 @@ impl<P: CopyPlacement> StepState<'_, P> {
                     let bit = free.trailing_zeros() as usize;
                     free &= free - 1;
                     let copy = 64 * w + bit;
-                    let module = self.place_module[i * self.r + copy];
+                    let module = modules[copy];
                     if DEAD && self.dead[module as usize] {
                         self.dead_mask[slot] |= 1 << bit;
                         self.dead_count[i] += 1;
@@ -545,11 +535,14 @@ impl<P: CopyPlacement> StepState<'_, P> {
                             var: var as u32,
                             copy: copy as u32,
                             module,
-                            row: self.place_row[i * self.r + copy],
-                            src: (members.start + member % mlen) as u32,
+                            row: self.placement.row(var, copy),
+                            src: (members.start + member) as u32,
                         });
                     }
                     member += 1;
+                    if member == mlen {
+                        member = 0;
+                    }
                 }
             }
         }
@@ -629,9 +622,6 @@ pub fn run_protocol<E: PhaseExecutor>(
         cluster_start: &ws.cluster_start,
         cluster_cursor: &mut ws.cluster_cursor,
         cluster_reqs: &ws.cluster_reqs,
-        place_module: &mut ws.place_module,
-        place_row: &mut ws.place_row,
-        placed: &mut ws.placed,
         dead: &ws.dead,
         drops: ws.drops.as_mut(),
     };

@@ -286,16 +286,21 @@ impl SchusterStore {
         if unavailable.is_empty() {
             ws.touched.extend(0..q);
         } else {
+            // Share i's module, stepped by the stride instead of taken
+            // `% modules` per share.
+            let step = self.module_stride % self.modules;
+            let mut module = blk % self.modules;
             for i in 0..d {
-                if !unavailable
-                    .get(self.module_of_share(blk, i))
-                    .copied()
-                    .unwrap_or(false)
-                {
+                debug_assert_eq!(module, self.module_of_share(blk, i));
+                if !unavailable.get(module).copied().unwrap_or(false) {
                     ws.touched.push(i);
                     if ws.touched.len() == q {
                         break;
                     }
+                }
+                module += step;
+                if module >= self.modules {
+                    module -= self.modules;
                 }
             }
             if ws.touched.len() < q {
@@ -461,9 +466,7 @@ impl SchusterStore {
         // offset so staleness spreads across share indices.
         let d = self.code.d();
         let q = self.quorum();
-        // Locals: `module_of_share` needs `&self`, which the `&mut`
-        // block borrow below forbids — `share_module` is the shared
-        // formula both paths go through.
+        // Locals: the `&mut` block borrow below forbids `&self`.
         let (stride, modules) = (self.module_stride, self.modules);
         let block = &mut self.blocks[blk];
         let start = block.write_rotation;
@@ -485,6 +488,10 @@ impl SchusterStore {
                 block.vers[i] = ver + 1;
             }
         } else {
+            // The rotated walk steps each share's module by the stride
+            // (see `gather_quorum`), back to the base when i wraps to 0.
+            let (base, step) = (blk % modules, stride % modules);
+            let mut module = share_module(blk, start, stride, modules);
             let mut written = 0;
             for k in 0..d {
                 let i = if start + k >= d {
@@ -492,8 +499,16 @@ impl SchusterStore {
                 } else {
                     start + k
                 };
-                let module = share_module(blk, i, stride, modules);
-                if unavailable.get(module).copied().unwrap_or(false) {
+                if i == 0 {
+                    module = base;
+                }
+                debug_assert_eq!(module, share_module(blk, i, stride, modules));
+                let dead = unavailable.get(module).copied().unwrap_or(false);
+                module += step;
+                if module >= modules {
+                    module -= modules;
+                }
+                if dead {
                     continue;
                 }
                 block.vals[i] = ws.enc[i];
@@ -520,9 +535,9 @@ impl SchusterStore {
 }
 
 /// Share placement — the one formula mapping `(block, share_index)` to a
-/// module. `SchusterStore::module_of_share` and the write path (which
-/// cannot call it through `&self` while holding the block `&mut`) both
-/// route through here, so reads and writes cannot drift apart.
+/// module. `SchusterStore::module_of_share` routes through here, and the
+/// stepped share walks of the read and write paths debug-assert against
+/// it, so reads and writes cannot drift apart.
 #[inline]
 fn share_module(blk: usize, i: usize, stride: usize, modules: usize) -> usize {
     (blk + i * stride) % modules

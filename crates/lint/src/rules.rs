@@ -533,6 +533,24 @@ fn hot_rules(code: &[&Token], i: usize, out: &mut Vec<(usize, &'static str, Stri
         );
         return;
     }
+    // A sized constructor of any collection: `Vec::with_capacity(..)`,
+    // `DetHashSet::with_capacity_and_hasher(..)`, …
+    if (t.is_ident("with_capacity") || t.is_ident("with_capacity_and_hasher"))
+        && i >= 2
+        && code[i - 1].is_punct(':')
+        && code[i - 2].is_punct(':')
+    {
+        push(
+            out,
+            t,
+            "hot-alloc",
+            format!(
+                "`::{}(..)` allocates on the hot path; reuse a workspace buffer",
+                t.text
+            ),
+        );
+        return;
+    }
     match t.text.as_str() {
         "vec" | "format" if i + 1 < code.len() && code[i + 1].is_punct('!') => push(
             out,
@@ -620,6 +638,22 @@ fn cold2() { let v = vec![1]; }
         let f = lint_source("x.rs", src, FileContext::default());
         assert_eq!(rules_of(&f), vec!["hot-alloc", "hot-alloc"]);
         assert!(f.iter().all(|f| f.line == 3));
+    }
+
+    #[test]
+    fn hot_sized_constructors_are_flagged() {
+        let src = "\
+// lint: hot
+fn hot(k: usize) {
+    let v: Vec<u64> = Vec::with_capacity(k);
+    let s = DetHashSet::with_capacity_and_hasher(k * 2, FnvBuildHasher::default());
+    out.reserve(k); let c = v.capacity(); let w = with_capacity(k);
+}
+fn cold(k: usize) -> Vec<u64> { Vec::with_capacity(k) }
+";
+        let f = lint_source("x.rs", src, FileContext::default());
+        assert_eq!(rules_of(&f), vec!["hot-alloc", "hot-alloc"]);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), vec![3, 4]);
     }
 
     #[test]

@@ -124,9 +124,9 @@ pub trait Rng {
             return;
         }
         // Floyd's sampler needs "was t already chosen?". The chosen set is
-        // exactly `out[..]`, so for small k a linear scan beats building a
-        // hash set (and allocates nothing); the answers — hence the output
-        // and the rng stream — are the same either way.
+        // exactly `out[..]`, so for small k a linear scan answers it (and
+        // allocates nothing); the answers — hence the output and the rng
+        // stream — are the same either way.
         if k <= 64 {
             for j in (bound - k as u64)..bound {
                 let t = self.below(j + 1);
@@ -134,13 +134,38 @@ pub trait Rng {
                 out.push(v);
             }
         } else {
-            let mut chosen = DetHashSet::with_capacity_and_hasher(k * 2, FnvBuildHasher::default());
-            for j in (bound - k as u64)..bound {
+            // Larger k keeps the chosen set in an open-addressed table
+            // behind the sample in `out` (load ≤ 1/2, multiplicative
+            // hash, linear probing): a reused buffer allocates nothing,
+            // and the sample is cut back to its k values at the end.
+            // `u64::MAX` marks an empty slot; a value is below `bound`,
+            // so it never is one.
+            const EMPTY: u64 = u64::MAX;
+            let slots = (2 * k).next_power_of_two();
+            let shift = 64 - slots.trailing_zeros();
+            out.resize(k + slots, EMPTY);
+            let (sample, table) = out.split_at_mut(k);
+            // The slot holding `x`, or the empty slot where it belongs.
+            let find = |table: &[u64], x: u64| {
+                let mut at = (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+                while table[at] != x && table[at] != EMPTY {
+                    at = (at + 1) & (slots - 1);
+                }
+                at
+            };
+            for (s, j) in sample.iter_mut().zip((bound - k as u64)..bound) {
                 let t = self.below(j + 1);
-                let v = if chosen.contains(&t) { j } else { t };
-                chosen.insert(v);
-                out.push(v);
+                let at = find(table, t);
+                // j exceeds every value chosen so far, so it is new.
+                let (v, at) = if table[at] == t {
+                    (j, find(table, j))
+                } else {
+                    (t, at)
+                };
+                table[at] = v;
+                *s = v;
             }
+            out.truncate(k);
         }
         self.shuffle(out);
     }
@@ -310,6 +335,11 @@ mod tests {
             (1000, 999),
             (1000, 100),
             (10_000, 257),
+            // The serving shape: 256 distinct of 1024 per n = 256 step.
+            (1024, 256),
+            // High collision: most Floyd draws hit a chosen value.
+            (130, 97),
+            (1 << 40, 100),
             (1, 1),
             (8, 0),
         ] {

@@ -95,12 +95,22 @@ pub fn permutation(n: usize, m: usize, rng: &mut impl Rng) -> Vec<StepPattern> {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// Guide table over `g + 1` entries, `g` the largest power of two
+    /// `≤ m`: `guide[j]` is the first index whose CDF reaches `j/g`
+    /// (`guide[g] = m`), so a draw in `[j/g, (j+1)/g)` inverts inside
+    /// `cdf[guide[j]..guide[j + 1]]`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
-    /// Precompute the CDF over `m` variables (`theta > 0`).
+    /// Precompute the CDF over `m` variables (`theta > 0`) and its guide
+    /// table.
     pub fn new(m: usize, theta: f64) -> Self {
         assert!(m >= 1 && theta > 0.0);
+        assert!(
+            u32::try_from(m).is_ok(),
+            "m = {m} overflows the guide table"
+        );
         let mut cdf = Vec::with_capacity(m);
         let mut acc = 0.0;
         for i in 0..m {
@@ -111,15 +121,37 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        let g = 1usize << m.ilog2();
+        let mut guide = Vec::with_capacity(g + 1);
+        let mut at = 0;
+        for j in 0..g {
+            // `j/g` is exact: g is a power of two.
+            let edge = j as f64 / g as f64;
+            while at < m && cdf[at] < edge {
+                at += 1;
+            }
+            guide.push(at as u32);
+        }
+        guide.push(m as u32);
+        Zipf { cdf, guide }
     }
 
-    /// Sample one variable.
+    /// Sample one variable: the first index whose CDF reaches a uniform
+    /// draw `u`, searched only inside `u`'s guide bucket — the same index
+    /// a search of the whole CDF finds, since the CDF is monotone.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u = rng.f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        let g = self.guide.len() - 1;
+        // Exact floor of `u·g` (a power-of-two scale), and `< g`: `u < 1`.
+        let j = (u * g as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)).min(self.cdf.len() - 1)
     }
 }
+
+/// Draws below this are deduplicated in a stack bitmap by
+/// [`hotspot_into`]; only the rarer draws at or above it are sorted.
+const HOTSPOT_HEAD: usize = 4096;
 
 /// `n` Zipf draws, deduplicated into one read step.
 pub fn hotspot(n: usize, zipf: &Zipf, rng: &mut impl Rng) -> StepPattern {
@@ -128,19 +160,36 @@ pub fn hotspot(n: usize, zipf: &Zipf, rng: &mut impl Rng) -> StepPattern {
     out
 }
 
-/// [`hotspot`] into a caller-owned pattern. Sort-and-dedup over the
-/// reused `reads` buffer replaces the `BTreeSet`: the output (sorted
-/// distinct draws) and the generator stream (one [`Zipf::sample`] per
-/// request, set membership never touched the rng) are identical.
+/// [`hotspot`] into a caller-owned pattern: the sorted distinct draws,
+/// one [`Zipf::sample`] per request. Draws below a fixed head set bits in
+/// a stack bitmap, which is read out in order; only the tail above it is
+/// sorted and deduplicated over the reused `reads` buffer, then placed
+/// after the head.
 // lint: hot
 pub fn hotspot_into(n: usize, zipf: &Zipf, rng: &mut impl Rng, out: &mut StepPattern) {
     out.reads.clear();
     out.writes.clear();
+    let mut head = [0u64; HOTSPOT_HEAD / 64];
     for _ in 0..n {
-        out.reads.push(zipf.sample(rng));
+        let v = zipf.sample(rng);
+        if v < HOTSPOT_HEAD {
+            head[v / 64] |= 1 << (v % 64);
+        } else {
+            out.reads.push(v);
+        }
     }
     out.reads.sort_unstable();
     out.reads.dedup();
+    let tail = out.reads.len();
+    let used = zipf.cdf.len().min(HOTSPOT_HEAD).div_ceil(64);
+    for (w, &word) in head[..used].iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.reads.push(64 * w + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    out.reads.rotate_left(tail);
 }
 
 /// `n` strided reads: `offset, offset+stride, …` (mod m), deduplicated.
@@ -285,6 +334,59 @@ mod tests {
     }
 
     #[test]
+    fn zipf_sample_matches_the_full_cdf_search() {
+        // The pre-guide-table inversion, verbatim.
+        fn reference(cdf: &[f64], u: f64) -> usize {
+            cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
+        }
+        /// A generator stuck on one output, so `f64()` yields a chosen
+        /// draw: `Fixed(k << 11)` draws exactly `k·2⁻⁵³`.
+        struct Fixed(u64);
+        impl Rng for Fixed {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        let raw = |u: f64| ((u * (1u64 << 53) as f64) as u64) << 11;
+        for &(m, theta) in &[
+            (1usize, 1.0f64),
+            (7, 0.5),
+            (1000, 1.1),
+            (1024, 1.2),
+            (1025, 2.0),
+            (5000, 0.8),
+        ] {
+            let z = Zipf::new(m, theta);
+            let g = z.guide.len() - 1;
+            assert!(g.is_power_of_two() && g <= m && 2 * g > m, "m={m} g={g}");
+            let mut ra = rng_from_seed(0x21FF ^ m as u64);
+            let mut rb = ra.clone();
+            for _ in 0..100_000 {
+                let want = reference(&z.cdf, ra.f64());
+                assert_eq!(z.sample(&mut rb), want, "m={m} theta={theta}");
+            }
+            // Every bucket edge j/g and the draw just below it, every CDF
+            // value a draw can equal, and the top draw (the m − 1 clamp).
+            let mut draws = vec![u64::MAX];
+            for j in 0..g {
+                let edge = raw(j as f64 / g as f64);
+                draws.push(edge);
+                draws.push(edge.saturating_sub(1 << 11));
+            }
+            for &c in &z.cdf {
+                if c < 1.0 && (raw(c) >> 11) as f64 / (1u64 << 53) as f64 == c {
+                    draws.push(raw(c));
+                }
+            }
+            for x in draws {
+                let u = Fixed(x).f64();
+                assert_eq!(z.sample(&mut Fixed(x)), reference(&z.cdf, u), "m={m} u={u}");
+            }
+            assert_eq!(z.sample(&mut Fixed(u64::MAX)), m - 1);
+        }
+    }
+
+    #[test]
     fn hotspot_dedups() {
         let z = Zipf::new(100, 2.0);
         let mut rng = rng_from_seed(5);
@@ -342,19 +444,34 @@ mod tests {
         let mut scratch = Vec::new();
         let mut got = StepPattern::default();
         let z = Zipf::new(500, 1.1);
+        // The serving shape (n = 256, m = 1024), and a memory whose draws
+        // land on both sides of the hotspot bitmap's head.
+        let serving = Zipf::new(1024, 1.2);
+        let wide = Zipf::new(5 * HOTSPOT_HEAD, 0.6);
+        let mut straddled = false;
         for seed in 0..8u64 {
             let mut ra = rng_from_seed(0xA110 + seed);
             let mut rb = rng_from_seed(0xA110 + seed);
-            for &(n, m, wf) in &[(16usize, 64usize, 0.3f64), (64, 10, 0.0), (100, 4096, 0.5)] {
+            for &(n, m, wf) in &[
+                (16usize, 64usize, 0.3f64),
+                (64, 10, 0.0),
+                (100, 4096, 0.5),
+                (256, 1024, 0.3),
+            ] {
                 let want = uniform_ref(n, m, wf, &mut ra);
                 uniform_into(n, m, wf, &mut rb, &mut scratch, &mut got);
                 assert_eq!(got, want, "uniform n={n} m={m}");
             }
-            let want = hotspot_ref(48, &z, &mut ra);
-            hotspot_into(48, &z, &mut rb, &mut got);
-            assert_eq!(got, want, "hotspot");
+            for (n, zipf) in [(48, &z), (256, &serving), (256, &wide)] {
+                let want = hotspot_ref(n, zipf, &mut ra);
+                hotspot_into(n, zipf, &mut rb, &mut got);
+                assert_eq!(got, want, "hotspot n={n} m={}", zipf.cdf.len());
+            }
+            straddled |=
+                got.reads[0] < HOTSPOT_HEAD && got.reads[got.reads.len() - 1] >= HOTSPOT_HEAD;
             assert_eq!(ra.next_u64(), rb.next_u64(), "rng streams in lockstep");
         }
+        assert!(straddled, "the wide case must draw past the bitmap's head");
         for &(n, m, st, off) in &[(8usize, 16usize, 4usize, 1usize), (100, 7, 3, 5)] {
             let want = stride_ref(n, m, st, off);
             stride_into(n, m, st, off, &mut got);

@@ -246,3 +246,68 @@ fn dmmpc_access_steps_allocate_only_the_result_vector() {
     let (tot, _) = s.totals();
     assert!(tot.phases > 0, "the steps actually ran the protocol");
 }
+
+/// A served session's whole `Session::step` — workload generation, the
+/// engine, the `cr-verify` recording seam and the trace hash — allocates
+/// at most the engine's `read_values` result per warm step: the flat
+/// kinds at the benchmark's n = 256, m = 1024 shape, healthy and under
+/// `faults=0.125`, and the routed kinds at serving size, on uniform and
+/// hotspot traffic. The two request generators allocate nothing at all
+/// once their buffers are warm.
+#[test]
+fn served_session_steps_allocate_only_the_result_vector() {
+    use pramsim::serve::{Session, SessionSpec, SharedHistogram, SimClock, Tick, WorkloadSpec};
+    assert!(
+        counting::is_active(),
+        "counting allocator must be installed"
+    );
+    let (n, m) = (256usize, 1024usize);
+    let mut rng = rng_from_seed(85);
+    let (mut scratch, mut pattern) = (Vec::new(), workloads::StepPattern::default());
+    let zipf = workloads::Zipf::new(m, 1.2);
+    workloads::uniform_into(n, m, 0.3, &mut rng, &mut scratch, &mut pattern);
+    workloads::hotspot_into(n, &zipf, &mut rng, &mut pattern);
+    workloads::uniform_into(n, m, 0.3, &mut rng, &mut scratch, &mut pattern);
+    let before = counting::thread_allocations();
+    for _ in 0..32 {
+        workloads::uniform_into(n, m, 0.3, &mut rng, &mut scratch, &mut pattern);
+    }
+    for _ in 0..32 {
+        workloads::hotspot_into(n, &zipf, &mut rng, &mut pattern);
+    }
+    assert_eq!(
+        counting::thread_allocations() - before,
+        0,
+        "warm request generation must not allocate"
+    );
+
+    let (latency, clock) = (SharedHistogram::new(), SimClock::manual());
+    let (warm, steps) = (64u64, 32u64);
+    for kind in SchemeKind::ALL {
+        let routed = matches!(kind, SchemeKind::Hp2dmotLeaves | SchemeKind::Lpp2dmot);
+        let (n, m, faults): (usize, usize, &[f64]) = if routed {
+            (16, 64, &[0.0])
+        } else {
+            (n, m, &[0.0, 0.125])
+        };
+        for &f in faults {
+            for workload in [WorkloadSpec::Uniform, WorkloadSpec::Hotspot] {
+                let spec = SessionSpec::new(n, m, kind).seed(7).faults(f);
+                let mut s = Session::open(spec, Tick::ZERO).expect("serving shapes open");
+                s.step(&workload, warm, &latency, &clock)
+                    .expect("warm-up steps run");
+                let before = counting::thread_allocations();
+                for _ in 0..steps {
+                    s.step(&workload, 1, &latency, &clock)
+                        .expect("measured steps run");
+                }
+                let allocs = counting::thread_allocations() - before;
+                assert!(
+                    allocs <= steps,
+                    "{kind} faults={f} {workload:?}: expected ≤ 1 allocation per \
+                     step (the read_values result), got {allocs} over {steps} steps"
+                );
+            }
+        }
+    }
+}
