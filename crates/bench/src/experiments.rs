@@ -1263,7 +1263,7 @@ pub mod throughput {
 pub mod serve {
     use super::*;
     use cr_core::SchemeKind;
-    use cr_serve::{Service, ServiceApi, ServiceConfig, SessionSpec, WorkloadSpec};
+    use cr_serve::{Service, ServiceApi, ServiceConfig, SessionSpec, VerifyMode, WorkloadSpec};
     use std::time::Instant;
 
     /// Per-session machine size: small sessions are the serving workload
@@ -1272,7 +1272,7 @@ pub mod serve {
     /// Cells per session (`m = 4n`, as in E15).
     pub const SESSION_M: usize = 64;
     /// Steps each session executes during the timed window.
-    const STEPS_PER_SESSION: u64 = 64;
+    pub(super) const STEPS_PER_SESSION: u64 = 64;
     /// Steps per `STEPN`-shaped command (amortizes the queue round-trip;
     /// well under [`cr_serve::MAX_STEP_BATCH`]).
     const BATCH: u64 = 32;
@@ -1304,6 +1304,10 @@ pub mod serve {
         pub stage1_cycles: u64,
         /// Stage-2 cycles over the window (`cr_stage2_cycles_total`).
         pub stage2_cycles: u64,
+        /// Ops the service PRAM-checked over the window
+        /// (`cr_verify_checked_ops_total`; 0 when every session runs
+        /// `verify=off`). E17 reports it; E16's table does not.
+        pub checked_ops: u64,
     }
 
     impl ServeRow {
@@ -1342,13 +1346,21 @@ pub mod serve {
         }
     }
 
-    /// Measure one grid point: open every session up front (they stay
-    /// live for the whole window — that is the concurrency being
-    /// claimed), then drive them from [`DRIVERS`] threads via pipelined
-    /// `step_many` batches (every command of a round is enqueued before
-    /// any reply is awaited, so the shard workers' drain loops service
-    /// bursts), and read the merged latency histogram at the end.
-    fn measure(kind: SchemeKind, shards: usize, sessions: usize, seed: u64) -> ServeRow {
+    /// Measure one grid point: open every session up front in the given
+    /// verify mode (they stay live for the whole window — that is the
+    /// concurrency being claimed), then drive them from [`DRIVERS`]
+    /// threads via pipelined `step_many` batches (every command of a
+    /// round is enqueued before any reply is awaited, so the shard
+    /// workers' drain loops service bursts), and read the merged latency
+    /// histogram at the end. E16 runs the default mode; E17 runs each
+    /// mode through this same driver.
+    pub(super) fn measure(
+        kind: SchemeKind,
+        shards: usize,
+        sessions: usize,
+        seed: u64,
+        verify: VerifyMode,
+    ) -> ServeRow {
         let service =
             Service::start(ServiceConfig::with_shards(shards)).expect("spawn shard workers");
         let mut h = service.handle();
@@ -1356,9 +1368,10 @@ pub mod serve {
             .map(|i| {
                 h.open(
                     SessionSpec::new(SESSION_N, SESSION_M, kind)
-                        .seed(seed ^ simrng::mix64(i as u64)),
+                        .seed(seed ^ simrng::mix64(i as u64))
+                        .verify(verify),
                 )
-                .expect("E16 session specs are feasible")
+                .expect("serving session specs are feasible")
                 .sid
             })
             .collect();
@@ -1399,6 +1412,7 @@ pub mod serve {
             p99_us: latency.p99() as f64 / 1e3,
             stage1_cycles: reg.total("cr_stage1_cycles_total").unwrap_or(0),
             stage2_cycles: reg.total("cr_stage2_cycles_total").unwrap_or(0),
+            checked_ops: reg.total("cr_verify_checked_ops_total").unwrap_or(0),
         };
         service.shutdown();
         row
@@ -1409,7 +1423,13 @@ pub mod serve {
         let mut out = Vec::new();
         for &kind in &ctx.schemes {
             for &(shards, sessions) in &grid(ctx) {
-                out.push(measure(kind, shards, sessions, ctx.seed));
+                out.push(measure(
+                    kind,
+                    shards,
+                    sessions,
+                    ctx.seed,
+                    VerifyMode::default(),
+                ));
             }
         }
         out
@@ -1493,43 +1513,35 @@ pub mod serve {
 }
 
 /// E17 — verification overhead: what the always-on PRAM-consistency
-/// plane (`cr-verify`, DESIGN.md §12) costs the serving layer. For each
-/// flat scheme and each `verify=` mode (off / ring / full) the grid
-/// measures (a) service-wide steps/sec, E16-shaped (concurrent sessions
-/// over sharded `cr-serve`, pipelined `step_many` drivers), and (b)
-/// allocations/step on a single in-process session — the ring mode must
-/// hold the data plane's flat-alloc line (`BENCH_verify.json`).
+/// check (`cr-verify`, DESIGN.md §12) costs the serving layer. For each
+/// flat scheme and each `verify=` mode (off / on) the grid measures
+/// (a) service-wide steps/sec through E16's own driver (concurrent
+/// sessions over sharded `cr-serve`, pipelined `step_many` drivers), and
+/// (b) allocations/step on a single in-process session — the on mode
+/// must hold the data plane's flat-alloc line (`BENCH_verify.json`).
 pub mod verify_overhead {
     use super::*;
     use cr_core::SchemeKind;
     use cr_serve::{
-        Service, ServiceApi, ServiceConfig, Session, SessionSpec, SharedHistogram, SimClock, Tick,
-        VerifyMode, WorkloadSpec,
+        Session, SessionSpec, SharedHistogram, SimClock, Tick, VerifyMode, WorkloadSpec,
     };
-    use std::time::Instant;
 
     /// Per-session processors (same serving shape as E16).
     pub const SESSION_N: usize = super::serve::SESSION_N;
     /// Cells per session.
     pub const SESSION_M: usize = super::serve::SESSION_M;
-    /// Steps each session executes during the timed window.
-    const STEPS_PER_SESSION: u64 = 64;
-    /// Steps per pipelined command.
-    const BATCH: u64 = 32;
-    /// In-process driver threads.
-    const DRIVERS: usize = 8;
     /// Steps in the single-session allocation probe's counted window.
     const PROBE_STEPS: u64 = 256;
 
-    /// The three verification modes under measurement.
-    const MODES: [VerifyMode; 3] = [VerifyMode::Off, VerifyMode::Ring, VerifyMode::Full];
+    /// The two verification modes under measurement.
+    const MODES: [VerifyMode; 2] = [VerifyMode::Off, VerifyMode::On];
 
     /// One measured `(scheme, mode)` grid point.
     #[derive(Debug, Clone)]
     pub struct VerifyRow {
         /// Stable scheme name.
         pub scheme: &'static str,
-        /// Verification mode (`off` / `ring` / `full`).
+        /// Verification mode (`off` / `on`).
         pub mode: &'static str,
         /// Service shard count.
         pub shards: usize,
@@ -1593,10 +1605,9 @@ pub mod verify_overhead {
     }
 
     /// Allocations/step of one in-process session at steady state. The
-    /// verifier preallocates everything at `open` (ring, spill, checker
-    /// cells), so ring mode must measure the same as off; the counted
-    /// window starts after a warm-up block that fills every reusable
-    /// buffer.
+    /// verifier preallocates its checker cells at `open`, so on mode must
+    /// measure the same as off; the counted window starts after a
+    /// warm-up block that fills every reusable buffer.
     fn alloc_probe(kind: SchemeKind, mode: VerifyMode, seed: u64) -> f64 {
         if !metrics::counting::is_active() {
             return -1.0;
@@ -1617,56 +1628,21 @@ pub mod verify_overhead {
         allocs as f64 / PROBE_STEPS as f64
     }
 
-    /// Measure one `(scheme, mode)` point: E16's driver shape (sessions
-    /// opened up front, pipelined `step_many` rounds), with every
+    /// Measure one `(scheme, mode)` point with E16's driver, every
     /// session opened in the given verify mode.
     fn measure(kind: SchemeKind, mode: VerifyMode, ctx: &RunCtx) -> VerifyRow {
         let (shards, sessions) = point(ctx);
-        let service =
-            Service::start(ServiceConfig::with_shards(shards)).expect("spawn shard workers");
-        let mut h = service.handle();
-        let sids: Vec<u64> = (0..sessions)
-            .map(|i| {
-                h.open(
-                    SessionSpec::new(SESSION_N, SESSION_M, kind)
-                        .seed(ctx.seed ^ simrng::mix64(i as u64))
-                        .verify(mode),
-                )
-                .expect("E17 session specs are feasible")
-                .sid
-            })
-            .collect();
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for chunk in sids.chunks(sessions.div_ceil(DRIVERS.min(sessions))) {
-                let h = h.clone();
-                scope.spawn(move || {
-                    for _ in 0..(STEPS_PER_SESSION / BATCH) {
-                        let sum = h
-                            .step_many(chunk, &WorkloadSpec::Uniform, BATCH)
-                            .expect("shards stay up");
-                        assert_eq!(sum.errors, 0, "in-budget steps succeed");
-                    }
-                });
-            }
-        });
-        let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        let steps = sessions as u64 * STEPS_PER_SESSION;
-        let checked_ops = h
-            .registry()
-            .total("cr_verify_checked_ops_total")
-            .unwrap_or(0);
-        service.shutdown();
+        let served = super::serve::measure(kind, shards, sessions, ctx.seed, mode);
         VerifyRow {
-            scheme: kind.name(),
+            scheme: served.scheme,
             mode: mode.name(),
             shards,
             sessions,
-            steps,
-            steps_per_sec: steps as f64 / elapsed,
+            steps: served.steps,
+            steps_per_sec: served.steps_per_sec,
             vs_off: 1.0,
             allocs_per_step: alloc_probe(kind, mode, ctx.seed ^ 17),
-            checked_ops,
+            checked_ops: served.checked_ops,
         }
     }
 
@@ -1719,15 +1695,15 @@ pub mod verify_overhead {
         }
         let (shards, sessions) = point(ctx);
         format!(
-            "E17: verification overhead — the cr-verify plane (DESIGN.md §12)\n\
+            "E17: verification overhead — the cr-verify check (DESIGN.md §12)\n\
              priced against the serving layer: {sessions} concurrent sessions\n\
              (n={}, m={}) over {shards} shards, {} steps/session, every\n\
-             session opened verify=off|ring|full (seed {}{}).\n\
-             allocs/step is a single-session steady-state probe — ring mode\n\
+             session opened verify=off|on (seed {}{}).\n\
+             allocs/step is a single-session steady-state probe — on mode\n\
              preallocates at open, so it must match off.\n{}\njson:\n{}",
             SESSION_N,
             SESSION_M,
-            STEPS_PER_SESSION,
+            super::serve::STEPS_PER_SESSION,
             ctx.seed,
             if ctx.quick { ", --quick" } else { "" },
             t.render(),

@@ -1,6 +1,6 @@
 //! `pram-bench` — the reproduction harness.
 //!
-//! One module per experiment (E1–E13, per DESIGN.md §4); each takes a
+//! One module per experiment (E1–E17, per DESIGN.md §4); each takes a
 //! [`RunCtx`] and returns its rendered tables as a `String`, so the
 //! `repro` binary and the integration tests see identical output.
 //!
@@ -8,9 +8,9 @@
 //! scheme through `Vec<Box<dyn cr_core::Scheme>>` and honor
 //! [`RunCtx::schemes`] — that is what `repro --scheme <name>` filters.
 //!
-//! The Criterion benches (in `benches/`) cover the micro level: field
-//! arithmetic, IDA codec, mesh routing, map operations, and whole scheme
-//! steps.
+//! The `repro` binary also carries the operator subcommands: `serve`,
+//! `loadgen` (the [`loadgen`] module), `metrics`, `events`, `verify`,
+//! `lint` and `sim`.
 
 pub mod experiments;
 pub mod loadgen;
@@ -174,7 +174,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
             // Not "verify": that word is the scrape subcommand (`repro
             // verify`), which main() dispatches before experiment ids.
             "verify-overhead",
-            "E17: verification overhead (verify=off/ring/full over cr-serve)",
+            "E17: verification overhead (verify=off/on over cr-serve)",
             experiments::verify_overhead::run,
         ),
         (

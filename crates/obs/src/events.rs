@@ -36,8 +36,7 @@ pub enum EventKind {
     /// attempts, `b` = dropped messages (deltas for this command).
     Fault,
     /// A PRAM-consistency snapshot (`VERIFY` served, or a session's
-    /// first violation): `a` = trace ops checked, `b` = violated (0/1),
-    /// `c` = records truncated, `d` = coverage (0 = full, 1 = window).
+    /// first violation): `a` = ops checked, `b` = violated (0/1).
     Verify,
     /// The shard crashed (chaos injection or operator action) and lost
     /// its live sessions: `a` = sessions lost.
@@ -113,13 +112,7 @@ impl Event {
                 ",\"dead_attempts\":{},\"dropped_messages\":{}}}",
                 self.a, self.b
             ),
-            EventKind::Verify => format!(
-                ",\"ops\":{},\"violated\":{},\"truncated\":{},\"coverage\":\"{}\"}}",
-                self.a,
-                self.b,
-                self.c,
-                if self.d == 0 { "full" } else { "window" }
-            ),
+            EventKind::Verify => format!(",\"ops\":{},\"violated\":{}}}", self.a, self.b),
             EventKind::Crash => format!(",\"lost\":{}}}", self.a),
             EventKind::Restart => "}".to_string(),
         };
@@ -302,11 +295,11 @@ mod tests {
             a: 640,
             b: 0,
             c: 0,
-            d: 1,
+            d: 0,
         };
         assert_eq!(
             vf.to_json(),
-            "{\"tick\":2,\"sid\":5,\"kind\":\"verify\",\"ops\":640,\"violated\":0,\"truncated\":0,\"coverage\":\"window\"}"
+            "{\"tick\":2,\"sid\":5,\"kind\":\"verify\",\"ops\":640,\"violated\":0}"
         );
         let crash = Event {
             tick: 3,

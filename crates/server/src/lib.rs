@@ -46,12 +46,12 @@
 //! deterministic: same seed, same bytes, at any shard count.
 //!
 //! Verification (DESIGN.md §12) turns the trace from reproducible into
-//! *self-checking*: every session records its read/write ops through
-//! `cr-verify` (ring-buffered by default, `OPEN ... verify=off|ring|full`
-//! to change) and an online PRAM-consistency checker validates them as
-//! they happen; `VERIFY [sid]` reports the verdict, and the
-//! `cr_verify_*` counters surface checked ops, violations, and ring
-//! truncations through `METRICS`.
+//! *self-checking*: every session feeds its read/write ops through
+//! `cr-verify`'s online PRAM-consistency checker, which validates them
+//! as they happen (on by default, `OPEN ... verify=off|on` to change);
+//! `VERIFY [sid]` reports the verdict, and the `cr_verify_*` counters
+//! surface checked ops, violations, and `VERIFY` commands through
+//! `METRICS`.
 //!
 //! ```
 //! use cr_serve::{Service, ServiceApi, ServiceConfig, SessionSpec, WorkloadSpec};
@@ -82,7 +82,7 @@ pub mod tcp;
 
 pub use cr_core::clock::{SimClock, Tick};
 pub use cr_obs::{Event, EventKind, Registry, SharedHistogram};
-pub use cr_verify::{Coverage, VerifyMode, VerifyReport, Violation, ViolationKind};
+pub use cr_verify::{VerifyMode, VerifyReport, Violation, ViolationKind};
 pub use error::ServeError;
 pub use runtime::{chan, ChanRx, ChanTx, TaskHandle};
 pub use service::{

@@ -5,7 +5,7 @@
 //! ```text
 //! OPEN <n> <m> <scheme> [c=<c>] [seed=<u64>] [faults=<f>]
 //!                       [max-steps=<k>] [ttl-ms=<t>]
-//!                       [verify=off|ring|full]
+//!                       [verify=off|on]
 //! STEP <sid> uniform|hotspot|stride [count]
 //! STEP <sid> raw [r=<a,b,..>] [w=<a:v,b:v,..>]
 //! STEPN <sid> <k> [uniform|hotspot|stride]
@@ -299,8 +299,7 @@ pub fn render_trace(t: &TraceInfo) -> String {
 pub fn render_verify(info: &VerifyInfo) -> String {
     let r = &info.report;
     let mut out = format!(
-        "OK sid={} verdict={} mode={} ops={} reads={} writes={} excused={} \
-         coverage={} retained={} truncated={}",
+        "OK sid={} verdict={} mode={} ops={} reads={} writes={} excused={}",
         info.sid,
         r.verdict(),
         r.mode.name(),
@@ -308,9 +307,6 @@ pub fn render_verify(info: &VerifyInfo) -> String {
         r.reads,
         r.writes,
         r.excused,
-        r.coverage.name(),
-        r.retained,
-        r.truncated,
     );
     if let Some(v) = &r.violation {
         out.push_str(&format!(
@@ -332,8 +328,8 @@ pub fn render_verify(info: &VerifyInfo) -> String {
 /// Render a bare `VERIFY` reply: the service-wide self-check summary.
 pub fn render_verify_summary(s: &VerifySummary) -> String {
     format!(
-        "OK sessions={} unchecked={} ops={} violations={} truncated={}",
-        s.sessions, s.unchecked, s.ops, s.violations, s.truncated
+        "OK sessions={} unchecked={} ops={} violations={}",
+        s.sessions, s.unchecked, s.ops, s.violations
     )
 }
 
@@ -646,22 +642,23 @@ mod tests {
     #[test]
     fn open_verify_mode_round_trips() {
         use cr_verify::VerifyMode;
-        for (opt, want) in [
-            ("off", VerifyMode::Off),
-            ("ring", VerifyMode::Ring),
-            ("full", VerifyMode::Full),
-        ] {
+        for (opt, want) in [("off", VerifyMode::Off), ("on", VerifyMode::On)] {
             match parse(&format!("OPEN 8 64 hashed verify={opt}")).unwrap() {
                 Frame::Open(spec) => assert_eq!(spec.verify, want),
                 other => panic!("wrong frame: {other:?}"),
             }
         }
-        // The default is ring: the service self-checks unless told not to.
+        // The default is on: the service self-checks unless told not to.
         match parse("OPEN 8 64 hashed").unwrap() {
-            Frame::Open(spec) => assert_eq!(spec.verify, VerifyMode::Ring),
+            Frame::Open(spec) => assert_eq!(spec.verify, VerifyMode::On),
             other => panic!("wrong frame: {other:?}"),
         }
-        assert!(parse("OPEN 8 64 hashed verify=sometimes").is_err());
+        // Only off and on exist: any other mode is refused with the list
+        // of modes that do.
+        for bad in ["ring", "full", "sometimes"] {
+            let err = parse(&format!("OPEN 8 64 hashed verify={bad}")).unwrap_err();
+            assert_eq!(err, format!("unknown verify mode {bad} (off, on)"));
+        }
     }
 
     #[test]
@@ -677,25 +674,21 @@ mod tests {
 
     #[test]
     fn verify_replies_render_stably() {
-        use cr_verify::{Coverage, VerifyMode, VerifyReport, Violation, ViolationKind};
+        use cr_verify::{VerifyMode, VerifyReport, Violation, ViolationKind};
         let clean = VerifyInfo {
             sid: 3,
             report: VerifyReport {
-                mode: VerifyMode::Ring,
+                mode: VerifyMode::On,
                 ops: 640,
                 reads: 420,
                 writes: 220,
                 excused: 2,
-                retained: 640,
-                truncated: 0,
-                coverage: Coverage::Full,
                 violation: None,
             },
         };
         assert_eq!(
             render_verify(&clean),
-            "OK sid=3 verdict=consistent mode=ring ops=640 reads=420 writes=220 \
-             excused=2 coverage=full retained=640 truncated=0"
+            "OK sid=3 verdict=consistent mode=on ops=640 reads=420 writes=220 excused=2"
         );
         let bad = VerifyInfo {
             sid: 9,
@@ -709,16 +702,12 @@ mod tests {
                     write_op: Some(4),
                     kind: ViolationKind::StaleValue,
                 }),
-                coverage: Coverage::Window,
-                truncated: 64,
-                retained: 576,
                 ..clean.report
             },
         };
         assert_eq!(
             render_verify(&bad),
-            "OK sid=9 verdict=violation mode=ring ops=640 reads=420 writes=220 \
-             excused=2 coverage=window retained=576 truncated=64 \
+            "OK sid=9 verdict=violation mode=on ops=640 reads=420 writes=220 excused=2 \
              vop=12 vaddr=5 got=3 expected=9 wop=4 vkind=stale"
         );
         let sum = VerifySummary {
@@ -726,11 +715,10 @@ mod tests {
             unchecked: 1,
             ops: 100,
             violations: 0,
-            truncated: 7,
         };
         assert_eq!(
             render_verify_summary(&sum),
-            "OK sessions=4 unchecked=1 ops=100 violations=0 truncated=7"
+            "OK sessions=4 unchecked=1 ops=100 violations=0"
         );
     }
 

@@ -185,19 +185,13 @@ pub fn build_cores(cfg: &ServiceConfig) -> (Vec<ShardCore>, Registry) {
     let mut verify_ops = reg
         .counters(
             "cr_verify_checked_ops_total",
-            "Trace ops recorded and PRAM-checked",
+            "Read and write ops PRAM-checked",
         )
         .into_iter();
     let mut verify_violations = reg
         .counters(
             "cr_verify_violations_total",
             "Sessions whose trace first turned PRAM-inconsistent",
-        )
-        .into_iter();
-    let mut verify_truncations = reg
-        .counters(
-            "cr_verify_ring_truncations_total",
-            "Trace records truncated (ring overwrote, no spill copy)",
         )
         .into_iter();
     let mut verify_cycles = reg
@@ -235,7 +229,6 @@ pub fn build_cores(cfg: &ServiceConfig) -> (Vec<ShardCore>, Registry) {
             events_dropped: events_dropped.next().unwrap_or_default(),
             verify_ops: verify_ops.next().unwrap_or_default(),
             verify_violations: verify_violations.next().unwrap_or_default(),
-            verify_truncations: verify_truncations.next().unwrap_or_default(),
             verify_cycles: verify_cycles.next().unwrap_or_default(),
             sessions: sessions.next().unwrap_or_default(),
             queue_depth: queue_depth.next().unwrap_or_default(),

@@ -61,8 +61,8 @@ pub struct SessionSpec {
     /// Idle TTL: the owning shard evicts the session after this long
     /// without a command touching it.
     pub ttl: Duration,
-    /// Trace recording + PRAM-consistency checking mode (`cr-verify`).
-    /// `ring` by default: the service self-checks unless told not to.
+    /// PRAM-consistency checking mode (`cr-verify`). `on` by default:
+    /// the service self-checks unless told not to.
     pub verify: VerifyMode,
 }
 
@@ -153,11 +153,8 @@ pub struct StepSummary {
     pub dead_attempts: u64,
     /// Messages the faulty network dropped during this command.
     pub dropped_messages: u64,
-    /// Trace ops recorded and PRAM-checked during this command.
+    /// Ops PRAM-checked during this command.
     pub verify_ops: u64,
-    /// Trace records truncated (ring overwrote, no spill copy) during
-    /// this command.
-    pub verify_truncated: u64,
     /// Whether this command produced the session's *first* PRAM
     /// violation (the shard turns this into a counter bump + event).
     pub verify_violation: bool,
@@ -204,8 +201,8 @@ pub struct Session {
     /// Fault counters at the end of the previous command — the baseline
     /// for per-command deltas ([`Scheme::fault_counters`] is cumulative).
     fault_seen: FaultTotals,
-    /// Trace recording + online PRAM-consistency checking (`cr-verify`),
-    /// fed right next to the trace-hash update in [`step`](Session::step).
+    /// Online PRAM-consistency checking (`cr-verify`), fed right next
+    /// to the trace-hash update in [`step`](Session::step).
     verifier: SessionVerifier,
     /// When a command last touched the session, on the owning shard's
     /// [`SimClock`] (the TTL sweeper compares against the same clock).
@@ -253,8 +250,8 @@ impl Session {
         // The workload stream is decorrelated from the memory map but
         // derived from the same seed: spec ⇒ behavior, shard-independent.
         let rng = rng_from_seed(simrng::mix64(spec.seed ^ 0x5E55_1011));
-        // Ring, spill, and per-cell checker state are all allocated
-        // here, once — the recording path in `step` stays alloc-free.
+        // The checker's per-cell state is allocated here, once — the
+        // checking path in `step` stays alloc-free.
         let verifier = SessionVerifier::new(spec.verify, spec.m);
         Ok(Session {
             scheme,
@@ -439,8 +436,7 @@ impl Session {
             // update: the same (addresses, values) batch the hash folds
             // in is what the PRAM checker sees, stamped with the
             // command's tick. Reads of cells the engine lost to its
-            // faults are recorded excused — quorum-masked faults verify
-            // clean.
+            // faults are excused — quorum-masked faults verify clean.
             let (r_addrs, w_vals): (&[usize], &[(usize, Word)]) = match workload {
                 WorkloadSpec::Raw { reads, writes } => (reads, writes),
                 _ => (&self.pattern.reads, &self.pattern.writes),
@@ -498,7 +494,6 @@ impl Session {
             dead_attempts,
             dropped_messages,
             verify_ops: verify.ops,
-            verify_truncated: verify.truncated,
             verify_violation: verify.violated,
             exhausted: run < count,
         })
@@ -703,29 +698,22 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraparound_degrades_coverage_and_counts_truncations() {
+    fn per_command_op_deltas_sum_to_the_lifetime_count() {
         let h = SharedHistogram::new();
         let mut s = Session::open(spec(), Tick::ZERO).unwrap();
-        // n = 8 requests per uniform step: 128 steps exactly fill the
-        // 1024-op ring; coverage must still be full.
+        // n = 8 requests per uniform step, each one checked op.
         let sum = s.step(&WorkloadSpec::Uniform, 128, &h, &clock()).unwrap();
         assert_eq!(sum.verify_ops, 1024);
-        assert_eq!(sum.verify_truncated, 0);
-        assert_eq!(s.verify_report().coverage, cr_verify::Coverage::Full);
-        // The next step wraps: coverage degrades exactly then, and the
-        // per-command truncation delta accounts every overwritten record.
-        let mut truncated = 0;
+        let mut ops = sum.verify_ops;
         for _ in 0..100 {
-            truncated += s
+            ops += s
                 .step(&WorkloadSpec::Uniform, 1, &h, &clock())
                 .unwrap()
-                .verify_truncated;
+                .verify_ops;
         }
         let rep = s.verify_report();
-        assert_eq!(rep.coverage, cr_verify::Coverage::Window);
-        assert_eq!(rep.truncated, truncated);
-        assert_eq!(rep.truncated, 800, "8 ops per step, 100 steps past full");
-        assert_eq!(rep.retained, 1024);
+        assert_eq!(rep.ops, ops);
+        assert_eq!(rep.ops, 1824, "8 ops per step over 228 steps");
         assert_eq!(rep.verdict(), "consistent");
     }
 

@@ -31,7 +31,7 @@
 
 use cr_core::clock::{SimClock, Tick};
 use cr_obs::{Counter, Event, EventKind, EventRing, Gauge, SharedHistogram};
-use cr_verify::{Coverage, VerifyReport};
+use cr_verify::VerifyReport;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -84,8 +84,8 @@ pub struct TraceInfo {
 pub struct VerifyInfo {
     /// The session's id.
     pub sid: u64,
-    /// The verifier's snapshot (verdict, op counts, coverage, and the
-    /// first violation when there is one).
+    /// The verifier's snapshot (verdict, op counts, and the first
+    /// violation when there is one).
     pub report: VerifyReport,
 }
 
@@ -95,14 +95,12 @@ pub struct VerifyInfo {
 pub struct VerifySummary {
     /// Live sessions inspected.
     pub sessions: u64,
-    /// Sessions recording with verification off.
+    /// Sessions running with verification off.
     pub unchecked: u64,
-    /// Trace ops checked across them.
+    /// Ops checked across them.
     pub ops: u64,
     /// Sessions whose trace holds a PRAM violation.
     pub violations: u64,
-    /// Trace records truncated across them.
-    pub truncated: u64,
 }
 
 impl VerifySummary {
@@ -112,7 +110,6 @@ impl VerifySummary {
         self.unchecked += other.unchecked;
         self.ops += other.ops;
         self.violations += other.violations;
-        self.truncated += other.truncated;
     }
 }
 
@@ -135,7 +132,6 @@ pub(crate) struct ShardObs {
     pub(crate) events_dropped: Counter,
     pub(crate) verify_ops: Counter,
     pub(crate) verify_violations: Counter,
-    pub(crate) verify_truncations: Counter,
     pub(crate) verify_cycles: Counter,
     pub(crate) sessions: Gauge,
     pub(crate) queue_depth: Gauge,
@@ -316,7 +312,7 @@ impl ShardCore {
     }
 
     /// Record one `verify` trace event from a session's current report:
-    /// ops checked, violated flag, records truncated, coverage tag.
+    /// ops checked and the violated flag.
     fn verify_event(&mut self, sid: u64) {
         let Some(report) = self.sessions.get(&sid).map(|s| s.verify_report()) else {
             return;
@@ -326,8 +322,8 @@ impl ShardCore {
             sid,
             report.ops,
             u64::from(report.violation.is_some()),
-            report.truncated,
-            u64::from(matches!(report.coverage, Coverage::Window)),
+            0,
+            0,
         );
     }
 
@@ -384,7 +380,6 @@ impl ShardCore {
                         self.obs.stage1_cycles.add(sum.stage1_cycles);
                         self.obs.stage2_cycles.add(sum.stage2_cycles);
                         self.obs.verify_ops.add(sum.verify_ops);
-                        self.obs.verify_truncations.add(sum.verify_truncated);
                         self.event(
                             EventKind::Step,
                             sid,
@@ -481,7 +476,6 @@ impl ShardCore {
                             sum.unchecked += u64::from(!r.mode.enabled());
                             sum.ops += r.ops;
                             sum.violations += u64::from(r.violation.is_some());
-                            sum.truncated += r.truncated;
                         }
                         Ok(Reply::VerifySummary(sum))
                     }

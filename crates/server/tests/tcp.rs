@@ -156,6 +156,24 @@ fn malformed_frames_get_err_replies_and_leave_the_connection_up() {
 }
 
 #[test]
+fn unknown_verify_mode_gets_one_err_and_the_connection_keeps_serving() {
+    let (service, server) = boot(1);
+    let mut c = Client::connect(server.local_addr());
+    // There is no `full` (or `ring`) mode: it is refused like any
+    // unknown mode, with exactly one reply line.
+    assert_eq!(
+        c.roundtrip("OPEN 8 64 hashed verify=full"),
+        "ERR unknown verify mode full (off, on)"
+    );
+    // The next line on the wire is PING's own reply, not a leftover.
+    assert_eq!(c.roundtrip("PING"), "OK pong");
+    let open = c.roundtrip("OPEN 8 64 hashed verify=on");
+    assert!(open.starts_with("OK "), "{open}");
+    server.shutdown();
+    service.shutdown();
+}
+
+#[test]
 fn oversized_frame_is_rejected_without_panic() {
     let (service, server) = boot(1);
     // A 100 KiB line exceeds the 64 KiB frame cap. So does an 80 KiB

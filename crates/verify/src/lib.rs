@@ -5,64 +5,46 @@
 //! same spec produce the same bytes — but a hash cannot tell a correct
 //! run from a deterministically wrong one. This crate closes that gap
 //! with the check of Wei et al. ("Verifying PRAM Consistency over
-//! Read/Write Traces of Data Replicas"): record every read and write a
-//! session drives through its scheme as a compact numeric [`TraceOp`],
-//! and validate **PRAM consistency** online as the ops are appended —
-//! per-writer program order plus read-value legality. A session is its
-//! own (single) writer, so PRAM consistency specializes to
-//! read-your-own-writes-in-order: every read of cell `a` must return the
-//! latest preceding write to `a` in program order, or the initial zero.
-//! The VPC-read algorithm maintains exactly that frontier per cell, so
-//! each appended op is checked in O(1) and the first violating op is
-//! flagged with a structured [`Violation`] instead of a bare boolean.
+//! Read/Write Traces of Data Replicas"): every read and write a session
+//! drives through its scheme goes through an online checker that
+//! validates **PRAM consistency** as the ops happen — per-writer program
+//! order plus read-value legality. A session is its own (single) writer,
+//! so PRAM consistency specializes to read-your-own-writes-in-order:
+//! every read of cell `a` must return the latest preceding write to `a`
+//! in program order, or the initial zero. The VPC-read algorithm
+//! maintains exactly that frontier per cell, so each op is checked in
+//! O(1) and the first violating op is flagged with a structured
+//! [`Violation`] instead of a bare boolean. Nothing is stored per op:
+//! the frontier is the whole of the checker's state.
 //!
-//! Three [`VerifyMode`]s, same zero-alloc discipline as
-//! `cr-obs::EventRing`:
+//! Two [`VerifyMode`]s:
 //!
-//! * `off` — nothing recorded, nothing checked (the session pays only a
-//!   branch per step);
-//! * `ring` (the default — the service self-checks) — ops land in a
-//!   fixed-capacity overwrite-oldest [`TraceRing`]; the checker still
-//!   sees **every** op before it can be overwritten, so violations are
-//!   never missed — truncation only narrows which raw records can be
-//!   re-examined afterwards ([`Coverage::Window`]);
-//! * `full` — ring plus a bounded, preallocated spill retaining the
-//!   complete trace prefix, for offline re-verification.
+//! * `off` — nothing checked (the session pays only a branch per step);
+//! * `on` (the default — the service self-checks) — every op goes
+//!   through the per-cell frontier, preallocated at session open so the
+//!   checking path allocates nothing.
 //!
 //! Fault-injected sessions stay honest: reads the scheme reports as
 //! *lost* (every copy of the cell destroyed — the quorum machinery
-//! returns a default, not a stale value) are recorded **excused** and
+//! returns a default, not a stale value) are checked **excused** and
 //! skip the value-legality check, so a masked fault run verifies clean
 //! while a genuinely corrupted store (or a stale quorum read under a
 //! transient plan) still trips the checker.
 
 pub mod checker;
-pub mod trace;
 pub mod verifier;
 
 pub use checker::{PramChecker, Violation, ViolationKind};
-pub use trace::{TraceOp, TraceRing};
 pub use verifier::{SessionVerifier, VerifyDelta, VerifyReport};
 
-/// Default per-session trace-ring capacity (ops retained for
-/// re-examination; the online check itself is unwindowed).
-pub const RING_CAPACITY: usize = 1024;
-
-/// Bounded spill capacity of `full` mode — the complete trace prefix
-/// retained beyond the ring, preallocated at session open so the append
-/// path never grows it.
-pub const SPILL_CAPACITY: usize = 1 << 16;
-
-/// How much trace a session records and checks.
+/// Whether a session checks its ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerifyMode {
-    /// Record nothing, check nothing.
+    /// Check nothing.
     Off,
-    /// Ring-buffered recording + online checking (the default).
+    /// Online checking of every op (the default).
     #[default]
-    Ring,
-    /// Ring + bounded full-trace spill ([`SPILL_CAPACITY`] ops).
-    Full,
+    On,
 }
 
 impl VerifyMode {
@@ -70,14 +52,13 @@ impl VerifyMode {
     pub fn name(self) -> &'static str {
         match self {
             VerifyMode::Off => "off",
-            VerifyMode::Ring => "ring",
-            VerifyMode::Full => "full",
+            VerifyMode::On => "on",
         }
     }
 
-    /// Whether any recording/checking happens at all.
+    /// Whether any checking happens at all.
     pub fn enabled(self) -> bool {
-        !matches!(self, VerifyMode::Off)
+        matches!(self, VerifyMode::On)
     }
 }
 
@@ -87,32 +68,8 @@ impl std::str::FromStr for VerifyMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "off" => Ok(VerifyMode::Off),
-            "ring" => Ok(VerifyMode::Ring),
-            "full" => Ok(VerifyMode::Full),
-            other => Err(format!("unknown verify mode {other} (off, ring, full)")),
-        }
-    }
-}
-
-/// How much of the recorded trace is still available for re-examination.
-///
-/// The online checker sees every op regardless; coverage degrades from
-/// `full` to `window` at the exact moment the first record is truncated
-/// (overwritten in the ring without a spill copy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Coverage {
-    /// Every recorded op is still retained.
-    Full,
-    /// Only a recent window (plus any spill prefix) is retained.
-    Window,
-}
-
-impl Coverage {
-    /// Stable wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Coverage::Full => "full",
-            Coverage::Window => "window",
+            "on" => Ok(VerifyMode::On),
+            other => Err(format!("unknown verify mode {other} (off, on)")),
         }
     }
 }
@@ -123,18 +80,14 @@ mod tests {
 
     #[test]
     fn mode_names_round_trip() {
-        for m in [VerifyMode::Off, VerifyMode::Ring, VerifyMode::Full] {
+        for m in [VerifyMode::Off, VerifyMode::On] {
             assert_eq!(m.name().parse::<VerifyMode>().unwrap(), m);
         }
-        assert!("sometimes".parse::<VerifyMode>().is_err());
-        assert_eq!(VerifyMode::default(), VerifyMode::Ring);
+        for gone in ["sometimes", "ring", "full"] {
+            assert!(gone.parse::<VerifyMode>().is_err(), "{gone}");
+        }
+        assert_eq!(VerifyMode::default(), VerifyMode::On);
         assert!(!VerifyMode::Off.enabled());
-        assert!(VerifyMode::Full.enabled());
-    }
-
-    #[test]
-    fn coverage_names() {
-        assert_eq!(Coverage::Full.name(), "full");
-        assert_eq!(Coverage::Window.name(), "window");
+        assert!(VerifyMode::On.enabled());
     }
 }
