@@ -613,6 +613,19 @@ mod tests {
     }
 
     #[test]
+    fn uw_mpc_rejects_a_module_count_other_than_n() {
+        let err = SimBuilder::new(16, 256)
+            .kind(SchemeKind::UwMpc)
+            .modules(32)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::NotOneModulePerProcessor { n: 16, modules: 32 }
+        );
+    }
+
+    #[test]
     fn zero_params_rejected() {
         for b in [
             SimBuilder::new(8, 64).c(0),

@@ -3,7 +3,7 @@
 //!
 //! The heavyweight scaling experiment E4 is exercised at full size only by
 //! the `repro` binary; here we assert the cheap ones end-to-end, and pin
-//! E5's cycle table.
+//! E5's cycle table and E10's stage tables.
 
 use pram_bench::RunCtx;
 use pramsim::core::SchemeKind;
@@ -51,6 +51,45 @@ LPP's grows with log m - that contrast is the paper's point (see E9).
 fn e5_motsim_table_is_pinned() {
     let out = pram_bench::motsim::run(&RunCtx::seeded(pramsim::simrng::DEFAULT_SEED));
     assert_eq!(out, E5_TABLE, "E5 drifted:\n{out}");
+}
+
+/// E10's tables at `repro`'s default seed. E10 is the one experiment
+/// that builds an engine with a stage-1 budget the builder does not
+/// expose (its second table squeezes stage 1 to 2 phases), so this pins
+/// the direct-construction path along with the stage statistics.
+const E10_TABLE: &str = r#"E10: two-stage protocol structure at n=256, m=65536, r=7.
+The papers' claim: stage 1 leaves at most n/(2c-1) = 36 live
+requests. Holds on every step: true.
+step  requests  stage1 phases  stage1 leftover  bound n/(2c-1)  stage2 phases  killed attempts
+----------------------------------------------------------------------------------------------
+0     256       7              0                36              0              44
+1     256       7              0                36              0              61
+2     256       7              0                36              0              43
+3     256       7              0                36              0              46
+4     256       7              0                36              0              50
+5     256       7              0                36              0              54
+6     256       7              0                36              0              53
+7     256       7              0                36              0              63
+8     256       7              0                36              0              62
+9     256       7              0                36              0              43
+
+Squeezing stage 1 to 2 phases (below its O(r log log n) budget,
+so the bound no longer applies) exhibits stage 2 draining the
+spill in a handful of phases:
+step  stage1 leftover  bound  stage2 phases  total phases
+---------------------------------------------------------
+0     182              36     5              15
+1     182              36     5              15
+2     182              36     5              15
+3     182              36     5              15
+4     182              36     5              15
+5     182              36     5              15
+"#;
+
+#[test]
+fn e10_stages_table_is_pinned() {
+    let out = pram_bench::stages::run(&RunCtx::seeded(pramsim::simrng::DEFAULT_SEED));
+    assert_eq!(out, E10_TABLE, "E10 drifted:\n{out}");
 }
 
 #[test]
