@@ -32,9 +32,6 @@
 //!                                # dump the structured trace-event ring
 //! repro verify --addr 127.0.0.1:7077 [--sid 3]
 //!                                # scrape a PRAM-consistency verdict
-//! repro lint                     # workspace invariant lint (DESIGN.md §9)
-//! repro lint -D --json findings.json
-//!                                # CI form: warnings fail, findings dumped
 //! repro sim --seed 7 --chaos     # deterministic whole-service simulation
 //! repro sim --sweep 32 --chaos   # CI chaos sweep; failures dump a replay
 //! repro sim --seed 7 --repeat 2  # determinism check: fingerprints equal
@@ -63,7 +60,6 @@ fn usage(reg: &[(&str, &str, pram_bench::Runner)]) {
        repro metrics [--addr HOST:PORT] [--out PATH]\n\
        repro events [--addr HOST:PORT] [--sid SID] [--out PATH]\n\
        repro verify [--addr HOST:PORT] [--sid SID] [--out PATH]\n\
-       repro lint [--root PATH] [-D] [--json PATH] [--rules]\n\
        repro sim [--seed S] [--chaos] [--shards N] [--sessions K] \
          [--steps S] [--scheme NAME] [--sweep N] [--repeat N] \
          [--json-out PATH]"
@@ -250,75 +246,6 @@ fn cmd_verify(args: &[String]) -> ! {
     let violated = reply.contains("verdict=violation")
         || loadgen::reply_field(&reply, "violations").is_some_and(|v| v != "0");
     std::process::exit(i32::from(violated));
-}
-
-/// `repro lint`: run the workspace invariant linter (same engine as the
-/// standalone `cr-lint` binary) against this checkout.
-fn cmd_lint(args: &[String]) -> ! {
-    let mut deny_warnings = false;
-    let mut json_out: Option<String> = None;
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-D" | "--deny-warnings" => deny_warnings = true,
-            "--json" => {
-                i += 1;
-                json_out = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    std::process::exit(2);
-                }));
-            }
-            "--root" => {
-                i += 1;
-                root = Some(std::path::PathBuf::from(
-                    args.get(i).cloned().unwrap_or_else(|| {
-                        eprintln!("--root needs a path");
-                        std::process::exit(2);
-                    }),
-                ));
-            }
-            "--rules" => {
-                for (id, desc) in cr_lint::RULES {
-                    println!("{id:<16} {desc}");
-                }
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("repro lint: unknown flag {other} (--root, -D, --json, --rules)");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let root = root
-        .or_else(|| cr_lint::find_root(&std::env::current_dir().unwrap_or_default()))
-        .unwrap_or_else(|| {
-            eprintln!("repro lint: not inside the workspace (try --root PATH)");
-            std::process::exit(2);
-        });
-    let findings = cr_lint::lint_workspace(&root).unwrap_or_else(|e| {
-        eprintln!("repro lint: {e}");
-        std::process::exit(2);
-    });
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, cr_lint::to_json(&findings)) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-    print!("{}", cr_lint::render(&findings));
-    let errors = findings.iter().filter(|f| !f.warning).count();
-    let warnings = findings.len() - errors;
-    if findings.is_empty() {
-        println!("repro lint: workspace invariants hold (0 findings)");
-    } else {
-        println!("repro lint: {errors} error(s), {warnings} warning(s)");
-    }
-    if errors > 0 || (deny_warnings && warnings > 0) {
-        std::process::exit(1);
-    }
-    std::process::exit(0);
 }
 
 /// `repro sim`: deterministic whole-service simulation (DESIGN.md §13).
@@ -587,7 +514,6 @@ fn main() {
         Some("loadgen") => cmd_loadgen(&args[1..]),
         Some(verb @ ("metrics" | "events")) => cmd_scrape(verb, &args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
         Some("sim") => cmd_sim(&args[1..]),
         _ => {}
     }
@@ -692,7 +618,6 @@ fn main() {
                 println!("  metrics      scrape a running server's Prometheus exposition");
                 println!("  events       dump a running server's trace-event ring as JSONL");
                 println!("  verify       scrape a running server's PRAM-consistency verdict");
-                println!("  lint         workspace invariant linter (cr-lint; see --rules)");
                 return;
             }
             other => wanted.push(other.to_string()),

@@ -296,7 +296,7 @@ pub mod dmmpc {
 /// (roots).
 pub mod motsim {
     use super::*;
-    use cr_core::{Lpp2dmot, Scheme, SchemeConfig, SchemeKind, SimBuilder};
+    use cr_core::{MajorityScheme, Scheme, SchemeConfig, SchemeKind, SimBuilder};
 
     /// Render the cycle-scaling table.
     pub fn run(ctx: &RunCtx) -> String {
@@ -330,12 +330,12 @@ pub mod motsim {
             let (_, hp_cycles) = drive_uniform(hp.as_mut(), n, m, steps, seed ^ 2);
             let hp_mean = Summary::of_u64(&hp_cycles).mean;
 
-            // Concrete construction: the scheme's own side() is the grid
-            // actually routed, not a re-derivation of its formula.
-            let mut lpp = Lpp2dmot::try_new(&SchemeConfig::coarse_for_pram(n, m))
+            // Direct construction: the engine's executor reports the grid
+            // side actually routed, not a re-derivation of its formula.
+            let mut lpp = MajorityScheme::lpp_2dmot(SchemeConfig::coarse_for_pram(n, m))
                 .expect("coarse defaults are feasible");
             let lpp_r = lpp.redundancy();
-            let lpp_side = lpp.side();
+            let lpp_side = lpp.executor().side();
             let (_, lpp_cycles) = drive_uniform(&mut lpp, n, m, steps, seed ^ 2);
             let lpp_mean = Summary::of_u64(&lpp_cycles).mean;
 
@@ -545,7 +545,7 @@ pub mod redundancy {
 /// E10 — the two-stage protocol's internal structure.
 pub mod stages {
     use super::*;
-    use cr_core::{HpDmmpc, Scheme, SchemeKind, SimBuilder};
+    use cr_core::{MajorityScheme, Scheme, SchemeKind, SimBuilder};
 
     /// Render stage statistics.
     pub fn run(ctx: &RunCtx) -> String {
@@ -562,7 +562,7 @@ pub mod stages {
             .seed(seed)
             .fine_config()
             .expect("E10 regime is feasible");
-        let mut hp = HpDmmpc::new(&cfg);
+        let mut hp = MajorityScheme::hp_dmmpc(cfg);
         let r = cfg.redundancy();
         let bound = n / r;
         let mut rng = rng_from_seed(seed ^ 4);
@@ -595,7 +595,7 @@ pub mod stages {
         // forces leftovers into stage 2 so its machinery is visible.
         let mut tight_cfg = cfg;
         tight_cfg.stage1_phases = 2;
-        let mut hp2 = HpDmmpc::new(&tight_cfg);
+        let mut hp2 = MajorityScheme::hp_dmmpc(tight_cfg);
         let mut t2 = Table::new(vec![
             "step",
             "stage1 leftover",

@@ -1,6 +1,5 @@
 //! Scheme configuration, derived from the paper's parameter conventions.
 
-use crate::scheme::{SchemeKind, SchemeParams};
 use models::params::{ipow_ceil, pow2_at_least};
 use models::PaperParams;
 
@@ -34,19 +33,6 @@ pub struct SchemeConfig {
 }
 
 impl SchemeConfig {
-    /// Fine-granularity configuration from the paper's exponents
-    /// (Theorem 2 defaults: `k`, `ε`, `b`, Lemma 2's `c`).
-    pub fn fine(n: usize, k: f64, eps: f64, b: usize, seed: u64) -> Self {
-        let p = PaperParams::fine_grain(n, k, eps, b);
-        Self::from_params(p, seed)
-    }
-
-    /// Coarse configuration (MPC baseline: `M = n`, Lemma 1's growing `c`).
-    pub fn coarse(n: usize, k: f64, b: usize, seed: u64) -> Self {
-        let p = PaperParams::coarse_grain(n, k, b);
-        Self::from_params(p, seed)
-    }
-
     /// From explicit [`PaperParams`].
     pub fn from_params(p: PaperParams, seed: u64) -> Self {
         let n = p.n;
@@ -114,79 +100,11 @@ impl SchemeConfig {
     pub fn redundancy(&self) -> usize {
         2 * self.c - 1
     }
-
-    /// The [`SchemeParams`] a copy-based scheme of `kind` built from this
-    /// configuration reports.
-    pub fn params(&self, kind: SchemeKind) -> SchemeParams {
-        SchemeParams {
-            kind,
-            n: self.n,
-            m: self.m,
-            modules: self.modules,
-            redundancy: self.redundancy() as f64,
-            seed: self.seed,
-        }
-    }
-
-    /// Cluster size (= redundancy).
-    pub fn cluster_size(&self) -> usize {
-        self.redundancy()
-    }
-
-    /// Grid side for a 2DMOT realization: a power of two that is both
-    /// `≥ n` (the processors live at the first `n` roots) and `≥ modules`
-    /// (the contention analysis is per column, so columns are the modules).
-    pub fn mot_side(&self) -> usize {
-        pow2_at_least(self.n.max(self.modules))
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the copy parameter `c` (for ablations).
-    pub fn with_c(mut self, c: usize) -> Self {
-        assert!(c >= 1);
-        self.c = c;
-        self
-    }
-
-    /// Override the module count (for granularity sweeps).
-    pub fn with_modules(mut self, modules: usize) -> Self {
-        assert!(modules >= self.redundancy());
-        self.modules = modules;
-        self
-    }
-
-    /// Override stage-2 pipelining.
-    pub fn with_pipeline(mut self, p: usize) -> Self {
-        assert!(p >= 1);
-        self.stage2_pipeline = p;
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fine_config_constant_c() {
-        let a = SchemeConfig::fine(16, 2.0, 0.5, 4, 1);
-        let b = SchemeConfig::fine(256, 2.0, 0.5, 4, 1);
-        assert_eq!(a.c, b.c, "Lemma 2's c is constant in n");
-        assert!(b.modules > a.modules);
-    }
-
-    #[test]
-    fn coarse_config_growing_c() {
-        let a = SchemeConfig::coarse(16, 2.0, 8, 1);
-        let b = SchemeConfig::coarse(1 << 12, 2.0, 8, 1);
-        assert!(b.c > a.c, "Lemma 1's c grows with m");
-        assert_eq!(b.modules, b.n);
-    }
 
     #[test]
     fn for_pram_accepts_small_memories() {
@@ -200,14 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn mot_side_fits_processors_and_modules() {
-        let cfg = SchemeConfig::for_pram(64, 4096);
-        let side = cfg.mot_side();
-        assert!(side >= 64 && side >= cfg.modules);
-        assert!(side.is_power_of_two());
-    }
-
-    #[test]
     fn coarse_clamp_is_centralized() {
         // Tiny machine: Lemma 1's c would exceed what n modules can hold.
         let cfg = SchemeConfig::coarse_for_pram(4, 1 << 20);
@@ -217,16 +127,5 @@ mod tests {
         let big = SchemeConfig::coarse_for_pram(1 << 12, 1 << 20);
         assert_eq!(big.c, models::PaperParams::c_lemma1(1 << 20, 8));
         assert_eq!(big.modules, 1 << 12);
-    }
-
-    #[test]
-    fn builders() {
-        let cfg = SchemeConfig::for_pram(16, 64)
-            .with_seed(7)
-            .with_c(3)
-            .with_pipeline(2);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.redundancy(), 5);
-        assert_eq!(cfg.stage2_pipeline, 2);
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::congestion::CongestionCounter;
 use crate::majority::StepReport;
-use crate::scheme::{FaultTotals, Scheme, SchemeKind, SchemeParams};
+use crate::scheme::{FaultTotals, Scheme, SchemeKind};
 use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
 
 /// Hashed single-copy shared memory on a DMMPC.
@@ -27,7 +27,6 @@ use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
 pub struct HashedDmmpc {
     n: usize,
     modules: usize,
-    seed: u64,
     cells: Vec<Word>,
     /// Per variable: the module the seeded hash chose, computed once at
     /// build so a step charges each request with one load.
@@ -55,7 +54,6 @@ impl HashedDmmpc {
         HashedDmmpc {
             n,
             modules,
-            seed,
             cells: vec![0; m],
             home: (0..m)
                 .map(|v| (simrng::mix64(v as u64 ^ seed) % ids) as u32)
@@ -210,17 +208,6 @@ impl Scheme for HashedDmmpc {
 
     fn cell_lost(&self, addr: usize) -> bool {
         !self.unavailable.is_empty() && self.unavailable[self.module_of(addr)]
-    }
-
-    fn params(&self) -> SchemeParams {
-        SchemeParams {
-            kind: SchemeKind::Hashed,
-            n: self.n,
-            m: self.cells.len(),
-            modules: self.modules,
-            redundancy: 1.0,
-            seed: self.seed,
-        }
     }
 }
 

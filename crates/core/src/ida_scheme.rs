@@ -7,7 +7,7 @@
 
 use crate::congestion::CongestionCounter;
 use crate::majority::StepReport;
-use crate::scheme::{FaultTotals, Scheme, SchemeKind, SchemeParams};
+use crate::scheme::{FaultTotals, Scheme, SchemeKind};
 use ida::{IdaWorkspace, SchusterStore};
 use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
 
@@ -286,17 +286,6 @@ impl Scheme for IdaShared {
 
     fn cell_lost(&self, addr: usize) -> bool {
         !self.lost_blocks.is_empty() && self.lost_blocks[addr / self.store.vars_per_block()]
-    }
-
-    fn params(&self) -> SchemeParams {
-        SchemeParams {
-            kind: SchemeKind::Ida,
-            n: self.n,
-            m: self.store.size(),
-            modules: self.modules,
-            redundancy: self.store.blowup(),
-            seed: 0, // share placement is deterministic, not seeded
-        }
     }
 }
 

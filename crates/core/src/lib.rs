@@ -16,14 +16,18 @@
 //! assert_eq!(scheme.access(&[0], &[]).read_values, vec![9]);
 //! ```
 //!
-//! | Scheme | Model | Redundancy | Time/step | Paper artifact |
-//! |--------|-------|-----------|-----------|----------------|
-//! | [`UwMpc`] | MPC (`M = n`) | `2c−1`, `c = Θ(log m)` | `O(log n ·…)` phases | Upfal–Wigderson baseline |
-//! | [`HpDmmpc`] | DMMPC (`M = n^{1+ε}`) | **`Θ(1)`** | `O(log n)` phases | **Theorem 2** |
-//! | [`Hp2dmotLeaves`] | DMBDN, `√M×√M` 2DMOT, memory at leaves | **`Θ(1)`** | `O(log²n/log log n)` cycles | **Theorem 3 / Fig. 8** |
-//! | [`Lpp2dmot`] | DMBDN, 2DMOT, memory at roots | `Θ(log n)` | `O(log²n/log log n)` cycles | Luccio et al. baseline |
-//! | [`HashedDmmpc`] | DMMPC | 1 (no copies) | expected `O(log n/log log n)` | Mehlhorn–Vishkin probabilistic baseline |
-//! | [`IdaShared`] | DMMPC | blowup `d/b = Θ(1)` | `Θ(log n)` work/access | Schuster/Rabin alternative |
+//! | Kind | Model | Redundancy | Time/step | Paper artifact |
+//! |------|-------|-----------|-----------|----------------|
+//! | [`SchemeKind::UwMpc`] | MPC (`M = n`) | `2c−1`, `c = Θ(log m)` | `O(log n ·…)` phases | Upfal–Wigderson baseline |
+//! | [`SchemeKind::HpDmmpc`] | DMMPC (`M = n^{1+ε}`) | **`Θ(1)`** | `O(log n)` phases | **Theorem 2** |
+//! | [`SchemeKind::Hp2dmotLeaves`] | DMBDN, `√M×√M` 2DMOT, memory at leaves | **`Θ(1)`** | `O(log²n/log log n)` cycles | **Theorem 3 / Fig. 8** |
+//! | [`SchemeKind::Lpp2dmot`] | DMBDN, 2DMOT, memory at roots | `Θ(log n)` | `O(log²n/log log n)` cycles | Luccio et al. baseline |
+//! | [`SchemeKind::Hashed`] | DMMPC | 1 (no copies) | expected `O(log n/log log n)` | Mehlhorn–Vishkin probabilistic baseline |
+//! | [`SchemeKind::Ida`] | DMMPC | blowup `d/b = Θ(1)` | `Θ(log n)` work/access | Schuster/Rabin alternative |
+//!
+//! The four copy-based kinds are one engine, [`MajorityScheme`], with the
+//! interconnect, copy placement and parameter regime of its kind; the
+//! other two are [`HashedDmmpc`] and [`IdaShared`].
 //!
 //! The [`adversary`] module implements the counting argument behind
 //! Theorem 1 (the redundancy lower bound) as an executable attack.
@@ -38,7 +42,6 @@ pub mod ida_scheme;
 pub mod majority;
 pub mod protocol;
 pub mod scheme;
-pub mod schemes;
 
 pub use adversary::{concentration_adversary, LowerBoundReport};
 pub use clock::{SimClock, Tick};
@@ -46,5 +49,4 @@ pub use config::SchemeConfig;
 pub use hashed::HashedDmmpc;
 pub use ida_scheme::IdaShared;
 pub use majority::{MajorityScheme, StepReport};
-pub use scheme::{BuildError, FaultTotals, Scheme, SchemeKind, SchemeParams, SimBuilder};
-pub use schemes::{Hp2dmotLeaves, HpDmmpc, Lpp2dmot, UwMpc};
+pub use scheme::{BuildError, FaultTotals, Scheme, SchemeKind, SimBuilder};

@@ -6,9 +6,10 @@
 //!
 //! * [`Scheme`] — an object-safe trait, supertrait of
 //!   [`pram_machine::SharedMemory`], adding the uniform diagnostics every
-//!   scheme can answer (`name`, `redundancy`, `last_step`, `totals`,
-//!   `modules`, `params`) and its fault geometry (`set_faults`,
-//!   `unit_loads`, `cell_units`, `fail_links`, `cell_lost`);
+//!   scheme can answer (`kind`, `name`, `redundancy`, `modules`,
+//!   `last_step`, `totals`) and its fault geometry (`set_faults`,
+//!   `unit_loads`, `cell_units`, `fail_links`, `fault_counters`,
+//!   `cell_lost`);
 //! * [`SchemeKind`] — the closed enumeration of the zoo, with stable
 //!   string names for CLI selection (`repro --scheme hp-2dmot`);
 //! * [`SimBuilder`] — the one validated construction path: every scheme is
@@ -17,9 +18,11 @@
 //!   parameter regimes.
 //!
 //! Adding a scheme or a parameter regime is one new `SchemeKind` arm, not
-//! a cross-repo edit. Direct construction (`HpDmmpc::new(&SchemeConfig)`)
-//! remains available for power users who need knobs the builder does not
-//! expose (e.g. `stage1_phases` ablations).
+//! a cross-repo edit. Each engine implements [`Scheme`] once: the four
+//! copy-based kinds are all [`MajorityScheme`], which a caller that needs
+//! a knob the builder does not expose (a `stage1_phases` ablation) or an
+//! interconnect diagnostic (the 2DMOT grid side) builds directly from a
+//! [`SimBuilder::fine_config`], e.g. with [`MajorityScheme::hp_dmmpc`].
 
 use std::fmt;
 use std::str::FromStr;
@@ -27,8 +30,7 @@ use std::str::FromStr;
 use crate::config::SchemeConfig;
 use crate::hashed::HashedDmmpc;
 use crate::ida_scheme::IdaShared;
-use crate::majority::StepReport;
-use crate::schemes::{Hp2dmotLeaves, HpDmmpc, Lpp2dmot, UwMpc};
+use crate::majority::{MajorityScheme, StepReport};
 use models::params::{ipow_ceil, pow2_at_least};
 use models::PaperParams;
 use pram_machine::SharedMemory;
@@ -108,25 +110,6 @@ impl FromStr for SchemeKind {
     }
 }
 
-/// Uniform configuration snapshot of a constructed scheme — what every
-/// member of the zoo can report about itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchemeParams {
-    /// Which scheme this is.
-    pub kind: SchemeKind,
-    /// Simulated P-RAM processors.
-    pub n: usize,
-    /// Simulated shared-memory cells.
-    pub m: usize,
-    /// Contention units (memory modules; grid columns on the 2DMOT).
-    pub modules: usize,
-    /// Storage blowup per variable: `2c − 1` for copy-based schemes, `1`
-    /// for hashing, `d/b` for IDA.
-    pub redundancy: f64,
-    /// Seed of the scheme's memory distribution.
-    pub seed: u64,
-}
-
 /// The uniform interface every simulation scheme implements.
 ///
 /// Object-safe: experiments hold a `Vec<Box<dyn Scheme>>` and drive the
@@ -159,9 +142,6 @@ pub trait Scheme: SharedMemory + fmt::Debug + Send {
 
     /// Accumulated totals and the number of steps executed.
     fn totals(&self) -> (StepReport, u64);
-
-    /// Configuration snapshot.
-    fn params(&self) -> SchemeParams;
 
     /// Put static faults on the engine: `dead[u]` kills fault unit `u`
     /// for good, and each served copy reply is lost with probability
@@ -317,7 +297,6 @@ pub struct SimBuilder {
     seed: u64,
     c: Option<usize>,
     modules: Option<usize>,
-    pipeline: Option<usize>,
 }
 
 impl SimBuilder {
@@ -333,7 +312,6 @@ impl SimBuilder {
             seed: simrng::DEFAULT_SEED,
             c: None,
             modules: None,
-            pipeline: None,
         }
     }
 
@@ -365,30 +343,20 @@ impl SimBuilder {
         self
     }
 
-    /// Override stage-2 per-module pipelining. Only the cycle-level 2DMOT
-    /// schemes (`hp-2dmot`, `lpp-2dmot`) honor it — pipelining amortizes
-    /// tree latency, which unit-latency interconnects do not have, so the
-    /// DMMPC/MPC schemes pin it to 1; `hashed` and `ida` have no stages at
-    /// all.
-    pub fn pipeline(mut self, pipeline: usize) -> Self {
-        self.pipeline = Some(pipeline);
-        self
-    }
-
     /// Validate and construct the scheme.
     pub fn build(&self) -> Result<Box<dyn Scheme>, BuildError> {
         self.validate()?;
         match self.kind {
-            SchemeKind::HpDmmpc => Ok(Box::new(HpDmmpc::new(&self.fine_config()?))),
-            SchemeKind::Hp2dmotLeaves => Ok(Box::new(Hp2dmotLeaves::new(&self.fine_config()?))),
-            SchemeKind::UwMpc => {
-                let cfg = self.coarse_config(self.n)?;
-                Ok(Box::new(UwMpc::try_new(&cfg)?))
+            SchemeKind::HpDmmpc => Ok(Box::new(MajorityScheme::hp_dmmpc(self.fine_config()?))),
+            SchemeKind::Hp2dmotLeaves => {
+                Ok(Box::new(MajorityScheme::hp_2dmot(self.fine_config()?)))
             }
-            SchemeKind::Lpp2dmot => {
-                let cfg = self.coarse_config(self.n.max(2))?;
-                Ok(Box::new(Lpp2dmot::try_new(&cfg)?))
-            }
+            SchemeKind::UwMpc => Ok(Box::new(MajorityScheme::uw_mpc(
+                self.coarse_config(self.n)?,
+            )?)),
+            SchemeKind::Lpp2dmot => Ok(Box::new(MajorityScheme::lpp_2dmot(
+                self.coarse_config(self.n.max(2))?,
+            )?)),
             SchemeKind::Hashed => Ok(Box::new(HashedDmmpc::new(
                 self.n,
                 self.m,
@@ -426,9 +394,9 @@ impl SimBuilder {
     }
 
     /// The validated [`SchemeConfig`] this builder would hand to a
-    /// fine-granularity (Theorem 2 / Theorem 3) scheme — exposed so power
-    /// users can tweak fields the builder does not cover (e.g.
-    /// `stage1_phases`) and construct directly.
+    /// fine-granularity (Theorem 2 / Theorem 3) scheme — exposed so
+    /// callers can tweak fields the builder does not cover (e.g.
+    /// `stage1_phases`) and construct a [`MajorityScheme`] directly.
     pub fn fine_config(&self) -> Result<SchemeConfig, BuildError> {
         self.validate()?;
         let base = SchemeConfig::for_pram(self.n, self.m);
@@ -436,11 +404,7 @@ impl SimBuilder {
         let modules = self.modules.unwrap_or(base.modules);
         self.check_quorum(c, modules)?;
         let p = PaperParams::explicit(self.n, self.m, modules, base.b, c);
-        let mut cfg = SchemeConfig::from_params(p, self.seed);
-        if let Some(pipe) = self.pipeline {
-            cfg.stage2_pipeline = pipe;
-        }
-        Ok(cfg)
+        Ok(SchemeConfig::from_params(p, self.seed))
     }
 
     /// The validated coarse-granularity (MPC-style) configuration with
@@ -458,11 +422,7 @@ impl SimBuilder {
             None => SchemeConfig::coarse_c(self.m, modules),
         };
         let p = PaperParams::explicit(self.n, self.m, modules, 8, c);
-        let mut cfg = SchemeConfig::from_params(p, self.seed);
-        if let Some(pipe) = self.pipeline {
-            cfg.stage2_pipeline = pipe;
-        }
-        Ok(cfg)
+        Ok(SchemeConfig::from_params(p, self.seed))
     }
 
     /// The zero/emptiness checks shared by every construction path, so
@@ -481,9 +441,6 @@ impl SimBuilder {
         }
         if self.modules == Some(0) {
             return Err(BuildError::ZeroParam("modules"));
-        }
-        if self.pipeline == Some(0) {
-            return Err(BuildError::ZeroParam("pipeline"));
         }
         Ok(())
     }
@@ -543,7 +500,6 @@ mod tests {
             assert_eq!(tot.requests, 2);
             assert!(s.redundancy() >= 1.0);
             assert!(s.modules() >= 1);
-            assert_eq!(s.params().kind, kind);
         }
     }
 
@@ -630,11 +586,11 @@ mod tests {
         for b in [
             SimBuilder::new(8, 64).c(0),
             SimBuilder::new(8, 64).modules(0),
-            SimBuilder::new(8, 64).pipeline(0),
         ] {
             assert!(matches!(b.build(), Err(BuildError::ZeroParam(_))));
         }
-        // The power-user config path rejects the same degenerate inputs.
+        // The direct-construction config path rejects the same degenerate
+        // inputs.
         assert!(matches!(
             SimBuilder::new(8, 64).c(0).fine_config(),
             Err(BuildError::ZeroParam("c"))

@@ -21,7 +21,7 @@
 //! this scheme's business: determinism makes it the cost of a same-seed
 //! healthy run of the same requests, which callers measure directly.
 
-use cr_core::{BuildError, FaultTotals, Scheme, SchemeKind, SchemeParams, SimBuilder, StepReport};
+use cr_core::{BuildError, FaultTotals, Scheme, SchemeKind, SimBuilder, StepReport};
 use pram_machine::{AccessResult, IdealMemory, SharedMemory, Word};
 
 use crate::plan::FaultPlan;
@@ -279,10 +279,6 @@ impl Scheme for FaultyScheme {
 
     fn totals(&self) -> (StepReport, u64) {
         self.engine.totals()
-    }
-
-    fn params(&self) -> SchemeParams {
-        self.engine.params()
     }
 
     /// The engine takes the faults; the harness recounts what they cost

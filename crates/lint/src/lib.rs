@@ -25,8 +25,8 @@
 //!
 //! Escapes are per-line and self-documenting:
 //! `// lint: allow(<rule>, <reason>)`. Test code (`#[test]`,
-//! `#[cfg(test)]` items) is exempt. Run it as `cargo run -p cr-lint`,
-//! `repro lint`, or the `lint-invariants` CI job.
+//! `#[cfg(test)]` items) is exempt. Run it as `cargo run -p cr-lint` or
+//! the `lint-invariants` CI job.
 
 pub mod lexer;
 pub mod rules;

@@ -449,7 +449,12 @@ impl ShardCore {
                 }
             },
             ShardCmd::Verify { sid } => {
-                self.obs.verify_cycles.inc();
+                // One count per command: a bare VERIFY visits every
+                // shard, so only shard 0 counts it, and the unlabeled
+                // total stays shard-count-invariant.
+                if sid.is_some() || self.shard == 0 {
+                    self.obs.verify_cycles.inc();
+                }
                 match sid {
                     Some(sid) => {
                         let now = self.clock.now();

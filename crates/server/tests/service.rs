@@ -305,6 +305,9 @@ fn events_and_metrics_are_deterministic_across_shard_counts() {
         assert!(clock.advance(Duration::from_millis(10)), "manual clock");
         h.step(b.sid, WorkloadSpec::Hotspot, 4).unwrap();
         h.step(a.sid, WorkloadSpec::Uniform, 2).unwrap();
+        // A bare VERIFY visits every shard; it is still one command.
+        h.verify_all().unwrap();
+        h.verify(a.sid).unwrap();
         h.close(b.sid).unwrap();
         h.close(a.sid).unwrap();
 

@@ -11,12 +11,12 @@
 //! phases/cycles per step.
 //!
 //! Scheme (b) goes through [`SimBuilder`] — the canonical construction
-//! path. Scheme (c) demonstrates the power-user path: a builder-validated
-//! [`SchemeConfig`] handed to the concrete type, which exposes
-//! interconnect diagnostics (`side`, `switches`) the uniform [`Scheme`]
-//! trait deliberately leaves out.
+//! path. Scheme (c) builds the engine directly from a builder-validated
+//! configuration, because its executor exposes interconnect diagnostics
+//! (`side`, `switches`) the uniform `Scheme` trait deliberately leaves
+//! out.
 
-use pramsim::core::{Hp2dmotLeaves, SchemeKind, SimBuilder};
+use pramsim::core::{MajorityScheme, SchemeKind, SimBuilder};
 use pramsim::machine::{programs, IdealMemory, Mode, Pram, SharedMemory};
 
 fn run_prefix_sum(mem: &mut dyn SharedMemory, n: usize) -> (Vec<i64>, u64, u64) {
@@ -57,15 +57,15 @@ fn main() {
          (r = {r:.0} copies, M = {modules} modules)"
     );
 
-    // The power-user path: validate through the builder, construct the
-    // concrete type for interconnect-specific diagnostics.
+    // Direct construction: validate through the builder, build the engine
+    // for its interconnect's own diagnostics.
     let cfg = SimBuilder::new(n, m)
         .kind(SchemeKind::Hp2dmotLeaves)
         .fine_config()
         .expect("default fine-grain regime is feasible");
-    let mut motm = Hp2dmotLeaves::new(&cfg);
-    let side = motm.side();
-    let switches = motm.switches();
+    let mut motm = MajorityScheme::hp_2dmot(cfg);
+    let side = motm.executor().side();
+    let switches = motm.executor().switches();
     let (got, phases, cycles) = run_prefix_sum(&mut motm, n);
     assert_eq!(got, expect);
     println!(

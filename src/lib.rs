@@ -62,10 +62,11 @@
 //! }
 //! ```
 //!
-//! Power users who need knobs the builder does not expose (e.g.
-//! `stage1_phases` ablations) can validate a config through
-//! [`core::SimBuilder::fine_config`] and hand it to a concrete type such
-//! as [`core::HpDmmpc::new`] — see `examples/quickstart.rs`.
+//! A caller that needs a knob the builder does not expose (e.g. a
+//! `stage1_phases` ablation) or an interconnect diagnostic can validate a
+//! config through [`core::SimBuilder::fine_config`] and build the
+//! copy-based engine directly, e.g. with [`core::MajorityScheme::hp_2dmot`]
+//! — see `examples/quickstart.rs`.
 
 pub use cr_core as core;
 pub use cr_faults as faults;

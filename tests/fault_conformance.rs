@@ -214,7 +214,7 @@ fn faulty_builder_reports_and_rejects_like_sim_builder() {
         for (n, m) in [(8, 64), (16, 256), (64, 1024)] {
             let healthy = SimBuilder::new(n, m).kind(kind).seed(SEED).build().unwrap();
             let faulty = build(kind, n, m, FaultPlan::modules(0.125).with_seed(SEED));
-            assert_eq!(faulty.params(), healthy.params(), "{kind} n={n} m={m}");
+            assert_eq!(faulty.kind(), healthy.kind(), "{kind} n={n} m={m}");
             assert_eq!(faulty.redundancy(), healthy.redundancy(), "{kind}");
             assert_eq!(faulty.modules(), healthy.modules(), "{kind}");
             assert_eq!(faulty.size(), healthy.size(), "{kind}");

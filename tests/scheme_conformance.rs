@@ -54,7 +54,7 @@ fn check_program(
         let (tot, steps) = mem.totals();
         assert!(steps > 0, "{kind} executed no steps");
         assert!(tot.requests > 0, "{kind} served no requests");
-        assert_eq!(mem.params().kind, kind);
+        assert_eq!(mem.kind(), kind);
         assert!(mem.redundancy() >= 1.0);
     }
 }
