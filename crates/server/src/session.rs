@@ -698,6 +698,35 @@ mod tests {
     }
 
     #[test]
+    fn per_command_dead_attempts_sum_to_the_engine_total() {
+        let h = SharedHistogram::new();
+        for kind in [
+            SchemeKind::UwMpc,
+            SchemeKind::HpDmmpc,
+            SchemeKind::Hp2dmotLeaves,
+            SchemeKind::Lpp2dmot,
+        ] {
+            let spec = SessionSpec::new(16, 256, kind).seed(7).faults(0.125);
+            let mut s = Session::open(spec, Tick::ZERO).unwrap();
+            let mut sum = 0;
+            for count in [1, 4, 2, 8] {
+                let dead = s
+                    .step(&WorkloadSpec::Uniform, count, &h, &clock())
+                    .unwrap()
+                    .dead_attempts;
+                assert!(
+                    dead > 0,
+                    "{kind}: a {count}-step command meets a dead module"
+                );
+                sum += dead;
+            }
+            let (total, steps) = s.scheme().totals();
+            assert_eq!(steps, 15, "{kind}");
+            assert_eq!(sum, total.protocol.dead_attempts, "{kind}");
+        }
+    }
+
+    #[test]
     fn per_command_op_deltas_sum_to_the_lifetime_count() {
         let h = SharedHistogram::new();
         let mut s = Session::open(spec(), Tick::ZERO).unwrap();

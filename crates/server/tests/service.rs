@@ -3,7 +3,7 @@
 
 use cr_core::SchemeKind;
 use cr_serve::{
-    ServeError, Service, ServiceApi, ServiceConfig, SessionSpec, SimClock, WorkloadSpec,
+    EventKind, ServeError, Service, ServiceApi, ServiceConfig, SessionSpec, SimClock, WorkloadSpec,
 };
 use std::time::Duration;
 
@@ -432,28 +432,59 @@ fn faulty_sessions_serve_and_survive() {
     let open = h
         .open(SessionSpec::new(16, 256, SchemeKind::HpDmmpc).faults(0.125))
         .unwrap();
+    // Each command's dead copy-access attempts, in command order.
+    let mut dead = Vec::new();
     let sum = h.step(open.sid, WorkloadSpec::Uniform, 5).unwrap();
     assert_eq!(sum.executed, 5);
+    dead.push(sum.dead_attempts);
     // A raw write/read round trip still returns the written value under
     // a 12.5% module loss (that is what constant redundancy buys).
-    h.step(
-        open.sid,
-        WorkloadSpec::Raw {
-            reads: vec![],
-            writes: vec![(9, 1234)],
-        },
-        1,
-    )
-    .unwrap();
-    h.step(
-        open.sid,
-        WorkloadSpec::Raw {
-            reads: vec![9],
-            writes: vec![],
-        },
-        1,
-    )
-    .unwrap();
+    let sum = h
+        .step(
+            open.sid,
+            WorkloadSpec::Raw {
+                reads: vec![],
+                writes: vec![(9, 1234)],
+            },
+            1,
+        )
+        .unwrap();
+    dead.push(sum.dead_attempts);
+    let sum = h
+        .step(
+            open.sid,
+            WorkloadSpec::Raw {
+                reads: vec![9],
+                writes: vec![],
+            },
+            1,
+        )
+        .unwrap();
+    dead.push(sum.dead_attempts);
+    for count in [1, 2, 3, 8] {
+        let sum = h.step(open.sid, WorkloadSpec::Uniform, count).unwrap();
+        dead.push(sum.dead_attempts);
+    }
+    // A command that met a dead module counts once in
+    // `cr_fault_events_total` and records one `fault` event carrying its
+    // dead attempts; a command that met none records nothing.
+    let exposed: Vec<u64> = dead.iter().copied().filter(|&d| d > 0).collect();
+    assert!(
+        exposed.len() >= 5,
+        "uniform steps meet the dead modules: {dead:?}"
+    );
+    assert_eq!(
+        h.registry().total("cr_fault_events_total"),
+        Some(exposed.len() as u64)
+    );
+    let faults: Vec<u64> = h
+        .events(Some(open.sid))
+        .unwrap()
+        .iter()
+        .filter(|e| e.kind == EventKind::Fault)
+        .map(|e| e.a)
+        .collect();
+    assert_eq!(faults, exposed);
     service.shutdown();
 }
 

@@ -175,9 +175,7 @@ fn determinism_under_faults_across_the_zoo() {
             SchemeKind::Hp2dmotLeaves | SchemeKind::Lpp2dmot => (8, 64),
             _ => (16, 256),
         };
-        let plan = FaultPlan::modules(1.0 / 16.0)
-            .with_message_drop(0.15)
-            .with_seed(SEED);
+        let plan = FaultPlan::modules(1.0 / 16.0).with_seed(SEED);
         let run = || {
             let mut s = build(kind, n, m, plan);
             let mut rng = rng_from_seed(SEED ^ 0xD5);
