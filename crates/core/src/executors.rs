@@ -101,7 +101,7 @@ pub struct MotExec {
     to_root: bool,
     /// Reusable request batch (payload = attempt index).
     reqs: Vec<MotRequest<usize>>,
-    /// Reusable served/killed/faulted buffers.
+    /// Reusable served/killed buffers.
     bufs: BatchBuffers<usize>,
 }
 
@@ -137,17 +137,6 @@ impl MotExec {
     pub fn switches(&self) -> usize {
         self.net.topology().switches()
     }
-
-    /// The underlying routed network — mutable, so a test can kill
-    /// chosen links ([`MotNetwork::fail_links`]).
-    pub fn network_mut(&mut self) -> &mut MotNetwork<usize> {
-        &mut self.net
-    }
-
-    /// The underlying routed network (read-only diagnostics).
-    pub fn network(&self) -> &MotNetwork<usize> {
-        &self.net
-    }
 }
 
 impl PhaseExecutor for MotExec {
@@ -182,31 +171,11 @@ impl PhaseExecutor for MotExec {
         for s in &self.bufs.served {
             outcome[s.payload] = AttemptOutcome::Served;
         }
-        // Link-faulted attempts are also Killed: the dead link is
-        // permanent, but the *route* is not — the protocol rotates the
-        // issuing cluster member, so a retry of the same copy from a
-        // different source root can route around the fault. Copies that
-        // are unreachable from every source exhaust the protocol's stage-2
-        // budget instead, and the request is written off there (the
-        // executor reports `lossy()`, so that abort is permitted).
-        // `faulted` stays distinct in the batch buffers for diagnostics;
-        // timing-wise both kill classes already cost their measured
-        // cycles.
         StepCost {
             phases: 1,
             cycles: stats.cycles,
             messages: stats.hops,
         }
-    }
-
-    fn lossy(&self) -> bool {
-        // With dead links injected, requests can fail permanently — the
-        // protocol may legitimately end a step below quorum.
-        self.net.dead_links() > 0
-    }
-
-    fn fail_links(&mut self, fraction: f64, seed: u64) -> usize {
-        self.net.fail_random_links(fraction, seed)
     }
 }
 
@@ -288,27 +257,6 @@ mod tests {
         // Pipelined phase admits both.
         let (out, _) = exec_phase(&mut ex, &attempts, 2);
         assert_eq!(out, vec![Served, Served, Served]);
-    }
-
-    #[test]
-    fn mot_exec_dead_links_kill_attempts_transiently() {
-        let mut ex = MotExec::leaves(8);
-        // Kill root 0's row-tree down-links: attempts issued *from source
-        // root 0* cannot route — but the same copy retried from another
-        // root could, so the outcome is Killed (retry).
-        let root = ex.network().topology().root(0);
-        let dead: Vec<_> = ex.network().topology().graph().out_edges(root).collect();
-        ex.network_mut().fail_links(&dead);
-        assert!(ex.lossy(), "dead links permit protocol degradation");
-        let attempts = vec![attempt(0, 2, 0), attempt(1, 5, 1)];
-        let (out, _) = exec_phase(&mut ex, &attempts, 1);
-        assert_eq!(out[0], Killed);
-        assert_eq!(out[1], Served);
-        // The identical attempt from a live root succeeds — the fault is
-        // per-route, which is why it must not write the copy off.
-        let retry = vec![attempt(0, 2, 3)];
-        let (out, _) = exec_phase(&mut ex, &retry, 1);
-        assert_eq!(out[0], Served);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::congestion::CongestionCounter;
 use crate::majority::StepReport;
-use crate::scheme::{FaultTotals, Scheme, SchemeKind};
+use crate::scheme::{Scheme, SchemeKind};
 use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
 
 /// Hashed single-copy shared memory on a DMMPC.
@@ -180,7 +180,7 @@ impl Scheme for HashedDmmpc {
     /// issuers wait out the dead module's queue, so a step lasts at least
     /// that queue's depth. Only served requests count as the step's
     /// requests and messages.
-    fn set_faults(&mut self, dead: &[bool], _message_drop: f64, _drop_seed: u64) {
+    fn set_faults(&mut self, dead: &[bool]) {
         assert_eq!(dead.len(), self.modules, "mask must cover every module");
         self.unavailable.clear();
         if dead.contains(&true) {
@@ -200,10 +200,6 @@ impl Scheme for HashedDmmpc {
     fn cell_units(&self, cell: usize, units: &mut Vec<usize>) {
         units.clear();
         units.push(self.module_of(cell));
-    }
-
-    fn fault_counters(&self) -> Option<FaultTotals> {
-        (!self.unavailable.is_empty()).then(FaultTotals::default)
     }
 
     fn cell_lost(&self, addr: usize) -> bool {
@@ -235,7 +231,7 @@ mod tests {
         let alive = (0..64).find(|&v| h.module_of(v) != dead_md).unwrap();
         let mut dead = vec![false; 8];
         dead[dead_md] = true;
-        h.set_faults(&dead, 0.0, 0);
+        h.set_faults(&dead);
         h.access(&[], &[(0, 7), (alive, 9)]);
         // Three reads queue at the dead module and return 0; the one
         // served read is the step's only request.

@@ -7,7 +7,7 @@
 
 use crate::congestion::CongestionCounter;
 use crate::majority::StepReport;
-use crate::scheme::{FaultTotals, Scheme, SchemeKind};
+use crate::scheme::{Scheme, SchemeKind};
 use ida::{IdaWorkspace, SchusterStore};
 use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
 
@@ -255,7 +255,7 @@ impl Scheme for IdaShared {
     /// Accesses degrade to the surviving shares; a block left below its
     /// quorum is lost (reads return 0, counted in
     /// [`IdaShared::quorum_failures`]).
-    fn set_faults(&mut self, dead: &[bool], _message_drop: f64, _drop_seed: u64) {
+    fn set_faults(&mut self, dead: &[bool]) {
         assert_eq!(dead.len(), self.modules, "mask must cover every module");
         self.unavailable.clear();
         self.lost_blocks.clear();
@@ -278,10 +278,6 @@ impl Scheme for IdaShared {
     fn cell_units(&self, cell: usize, units: &mut Vec<usize>) {
         units.clear();
         units.extend(self.shares_of(cell / self.store.vars_per_block()));
-    }
-
-    fn fault_counters(&self) -> Option<FaultTotals> {
-        (!self.unavailable.is_empty()).then(FaultTotals::default)
     }
 
     fn cell_lost(&self, addr: usize) -> bool {
@@ -344,7 +340,7 @@ mod tests {
         let mut dead = vec![false; 32];
         dead[s.store().module_of_share(blk, 0)] = true;
         dead[s.store().module_of_share(blk, 1)] = true;
-        s.set_faults(&dead, 0.0, 0);
+        s.set_faults(&dead);
         let res = s.access(&[10], &[]);
         assert_eq!(res.read_values, vec![777]);
         assert_eq!(s.quorum_failures(), 0);
@@ -353,7 +349,7 @@ mod tests {
         assert!(res.cost.phases >= 1);
         // A third dead share module breaks the block's quorum: lost.
         dead[s.store().module_of_share(blk, 2)] = true;
-        s.set_faults(&dead, 0.0, 0);
+        s.set_faults(&dead);
         let res = s.access(&[10], &[]);
         assert_eq!(res.read_values, vec![0], "lost cells read as 0");
         assert_eq!(s.quorum_failures(), 1);

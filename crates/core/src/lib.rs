@@ -49,4 +49,4 @@ pub use config::SchemeConfig;
 pub use hashed::HashedDmmpc;
 pub use ida_scheme::IdaShared;
 pub use majority::{MajorityScheme, StepReport};
-pub use scheme::{BuildError, FaultTotals, Scheme, SchemeKind, SimBuilder};
+pub use scheme::{BuildError, Scheme, SchemeKind, SimBuilder};

@@ -15,8 +15,7 @@
 //! 4. writes stamp their quorum with the step number.
 //!
 //! On a faulty machine ([`Scheme::set_faults`]) the protocol writes off
-//! copies in dead modules and retries dropped replies, so a quorum forms
-//! from the surviving copies.
+//! copies in dead modules, so a quorum forms from the surviving copies.
 
 use std::fmt;
 
@@ -26,7 +25,7 @@ use crate::protocol::{
     run_protocol, CopyPlacement, FlatPlacement, GridPlacement, PhaseExecutor, ProtocolStats,
     ProtocolWorkspace,
 };
-use crate::scheme::{BuildError, FaultTotals, Scheme, SchemeKind};
+use crate::scheme::{BuildError, Scheme, SchemeKind};
 use memdist::{Clusters, MemoryMap, ReplicatedStore};
 use models::params::pow2_at_least;
 use pram_machine::{AccessResult, SharedMemory, StepCost, Word};
@@ -323,13 +322,13 @@ where
     /// `dead[j]` means contention unit `j` no longer answers: the
     /// protocol writes a copy there off where it issues it. See
     /// [`ProtocolWorkspace::set_faults`].
-    fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
+    fn set_faults(&mut self, dead: &[bool]) {
         assert_eq!(
             dead.len(),
             self.map.modules(),
             "mask must cover every module"
         );
-        self.ws.set_faults(dead, message_drop, drop_seed);
+        self.ws.set_faults(dead);
     }
 
     fn unit_loads(&self) -> Vec<usize> {
@@ -339,19 +338,6 @@ where
     fn cell_units(&self, cell: usize, units: &mut Vec<usize>) {
         units.clear();
         units.extend(self.map.copies(cell).iter().map(|&md| md as usize));
-    }
-
-    /// See [`PhaseExecutor::fail_links`].
-    fn fail_links(&mut self, fraction: f64, seed: u64) -> usize {
-        self.exec.fail_links(fraction, seed)
-    }
-
-    /// Dead attempts are the protocol's own count.
-    fn fault_counters(&self) -> Option<FaultTotals> {
-        self.ws.faulty().then(|| FaultTotals {
-            dead_attempts: self.total.protocol.dead_attempts,
-            dropped_messages: self.ws.dropped_messages(),
-        })
     }
 
     fn cell_lost(&self, cell: usize) -> bool {

@@ -42,19 +42,15 @@
 //!
 //! The machine knows which of its modules are dead (the static-fault
 //! model of Chlebus, Gąsieniec and Pelc), so the protocol applies the
-//! fault rules itself, for every interconnect
-//! ([`ProtocolWorkspace::set_faults`], DESIGN.md §6):
-//!
-//! * a copy in a **dead module** is issued like any other — it takes a
-//!   cluster member and costs one request message — but is written off
-//!   where it is issued and never reaches the executor. A phase whose
-//!   attempts were all written off still costs one cycle;
-//! * a **dropped message** loses a served reply: the attempt counts as
-//!   killed and is retried, so drops cost phases, not data.
+//! fault rule itself, for every interconnect
+//! ([`ProtocolWorkspace::set_faults`], DESIGN.md §6): a copy in a **dead
+//! module** is issued like any other — it takes a cluster member and
+//! costs one request message — but is written off where it is issued
+//! and never reaches the executor. A phase whose attempts were all
+//! written off still costs one cycle.
 
 use memdist::{Clusters, MemoryMap};
 use pram_machine::StepCost;
-use simrng::{rng_from_seed, Rng, Xoshiro256pp};
 
 /// One copy-access attempt issued in a phase.
 ///
@@ -86,9 +82,8 @@ pub struct CopyAttempt {
 pub enum AttemptOutcome {
     /// The attempt reached its module; the copy was accessed.
     Served,
-    /// The attempt lost a transient race (module contention, queue
-    /// overflow, a dead link on its route, dropped message) — the
-    /// protocol retries it next phase.
+    /// The attempt lost a transient race (module contention or a queue
+    /// overflow on its route) — the protocol retries it next phase.
     Killed,
 }
 
@@ -109,23 +104,6 @@ pub trait PhaseExecutor {
         pipeline: usize,
         outcome: &mut Vec<AttemptOutcome>,
     ) -> StepCost;
-
-    /// Whether this executor can lose work for reasons other than
-    /// contention (fault injection: dead links). On a `false` executor
-    /// with no [faults](ProtocolWorkspace::set_faults) in force the
-    /// protocol's progress guarantee holds, so exceeding the stage-2
-    /// budget is a protocol bug and panics; otherwise it is an expected
-    /// degraded outcome and the step aborts gracefully instead.
-    fn lossy(&self) -> bool {
-        false
-    }
-
-    /// Kill a `fraction` of the interconnect's links, chosen from `seed`;
-    /// returns how many are dead. Only a routed interconnect has links
-    /// to lose.
-    fn fail_links(&mut self, _fraction: f64, _seed: u64) -> usize {
-        0
-    }
 }
 
 /// Per-step protocol statistics (one row of E4/E5/E10 per step).
@@ -147,8 +125,8 @@ pub struct ProtocolStats {
     pub stage1_leftover: usize,
     /// Copy attempts that lost a contention race.
     pub killed_attempts: u64,
-    /// Copy attempts that hit a permanent fault (dead module or link) and
-    /// were written off rather than retried.
+    /// Copy attempts that hit a dead module and were written off rather
+    /// than retried.
     pub dead_attempts: u64,
     /// Requests that finished the step below their `c`-copy quorum —
     /// nonzero only under fault injection (or a guard abort): every copy
@@ -262,33 +240,6 @@ pub struct ProtocolWorkspace {
     /// `dead[j]`: module `j` is dead. Empty when no module is, so a
     /// healthy machine never looks a module up.
     dead: Vec<bool>,
-    /// Loss of served replies; `None` on a reliable network.
-    drops: Option<ReplyDrops>,
-}
-
-/// The network's transient fault: each served reply is lost with
-/// probability `rate`, a seeded draw made in attempt order.
-#[derive(Debug)]
-struct ReplyDrops {
-    rate: f64,
-    rng: Xoshiro256pp,
-    /// Replies lost so far.
-    dropped: u64,
-}
-
-impl ReplyDrops {
-    /// Lose served replies. The issuing processor cannot tell a lost
-    /// reply from a collision, so the copy counts as killed and is
-    /// retried; the store is only updated for served attempts, so no
-    /// state diverges.
-    fn apply(&mut self, outcome: &mut [AttemptOutcome]) {
-        for out in outcome {
-            if *out == AttemptOutcome::Served && self.rng.chance(self.rate) {
-                *out = AttemptOutcome::Killed;
-                self.dropped += 1;
-            }
-        }
-    }
 }
 
 impl ProtocolWorkspace {
@@ -327,36 +278,20 @@ impl ProtocolWorkspace {
         self.fill.resize(nclusters, 0);
     }
 
-    /// Put the machine's faults under the protocol (see the module docs):
-    /// `dead[j]` kills module `j` for good, and each served reply is lost
-    /// with probability `message_drop`, drawn from `drop_seed`. An
-    /// all-false mask and a zero rate leave the machine healthy.
-    pub fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
+    /// Put the machine's dead modules under the protocol (see the module
+    /// docs): `dead[j]` kills module `j` for good. An all-false mask
+    /// leaves the machine healthy.
+    pub fn set_faults(&mut self, dead: &[bool]) {
         self.dead.clear();
         if dead.contains(&true) {
             self.dead.extend_from_slice(dead);
         }
-        self.drops = (message_drop > 0.0).then(|| ReplyDrops {
-            rate: message_drop,
-            rng: rng_from_seed(drop_seed),
-            dropped: 0,
-        });
-    }
-
-    /// Whether any fault is in force.
-    pub(crate) fn faulty(&self) -> bool {
-        !self.dead.is_empty() || self.drops.is_some()
     }
 
     /// The dead-module mask in force; empty on a machine with no dead
     /// module.
     pub(crate) fn dead(&self) -> &[bool] {
         &self.dead
-    }
-
-    /// Served replies the network has lost so far.
-    pub(crate) fn dropped_messages(&self) -> u64 {
-        self.drops.as_ref().map_or(0, |d| d.dropped)
     }
 
     /// Requests in the last prepared step.
@@ -395,7 +330,6 @@ struct StepState<'a, P: CopyPlacement> {
     cluster_cursor: &'a mut [u32],
     cluster_reqs: &'a [u32],
     dead: &'a [bool],
-    drops: Option<&'a mut ReplyDrops>,
 }
 
 impl<P: CopyPlacement> StepState<'_, P> {
@@ -439,9 +373,6 @@ impl<P: CopyPlacement> StepState<'_, P> {
         }
         let cost = exec.execute(self.attempts, pipeline, self.outcome);
         debug_assert_eq!(self.outcome.len(), self.attempts.len());
-        if let Some(drops) = self.drops.as_deref_mut() {
-            drops.apply(self.outcome);
-        }
         stats.cycles += cost.cycles;
         stats.messages += cost.messages;
         // Branch-free fold: the copy is written at the request's next
@@ -498,14 +429,13 @@ impl<P: CopyPlacement> StepState<'_, P> {
             let modules = self.map.copies(var);
             // One cluster member per untried copy. The assignment rotates
             // with the phase counter: a copy retried in a later phase is
-            // issued by a *different* cluster member, so a route blocked
-            // by a dead link for one source is retried around the fault
-            // from the others (the dynamic-reassignment discipline of the
-            // fault-tolerant P-RAM literature) instead of re-issuing the
-            // identical doomed attempt forever. Cluster members are a
-            // contiguous processor range, so the rotation is pure index
-            // arithmetic — no member list is materialized. The CSR bucket
-            // is the requesting processor's cluster.
+            // issued by a *different* cluster member (the
+            // dynamic-reassignment discipline of the fault-tolerant P-RAM
+            // literature), so on the 2DMOT a retry leaves from a
+            // different source root. Cluster members are a contiguous
+            // processor range, so the rotation is pure index arithmetic —
+            // no member list is materialized. The CSR bucket is the
+            // requesting processor's cluster.
             let members = self.clusters.members(k);
             let mlen = members.len();
             let mut member = (phase % mlen as u64) as usize;
@@ -583,7 +513,7 @@ pub fn run_protocol<E: PhaseExecutor>(
     if requests.is_empty() {
         return stats;
     }
-    let faulty = ws.faulty();
+    let faulty = !ws.dead.is_empty();
 
     // Requests of each cluster, as a counting-sorted CSR index (request
     // order within a cluster matches insertion order, exactly as the old
@@ -623,7 +553,6 @@ pub fn run_protocol<E: PhaseExecutor>(
         cluster_cursor: &mut ws.cluster_cursor,
         cluster_reqs: &ws.cluster_reqs,
         dead: &ws.dead,
-        drops: ws.drops.as_mut(),
     };
 
     // Stage 1: bounded, serialized module service.
@@ -643,19 +572,14 @@ pub fn run_protocol<E: PhaseExecutor>(
     // fault-free machine every phase with work serves at least one attempt
     // (the first per module), so at most c·|requests| further phases
     // occur and exceeding the generous guard below is a protocol bug —
-    // panic, exactly as before fault injection existed. Only a faulty
-    // machine (message drops can stall progress indefinitely) or a
-    // `lossy()` executor is allowed to abort the step instead: the
-    // leftover requests simply end short-quorum and are counted as failed
-    // below, the honest degraded outcome.
+    // panic. Only a machine with dead modules is allowed to abort the
+    // step instead: the leftover requests simply end short-quorum and are
+    // counted as failed below, the honest degraded outcome.
     let guard = 4 * c as u64 * requests.len() as u64 + 16;
     while state.run_phase(exec, &mut stats, stage2_pipeline) {
         stats.stage2_phases += 1;
         if stats.stage2_phases > guard {
-            assert!(
-                faulty || exec.lossy(),
-                "stage 2 failed to make progress (protocol bug)"
-            );
+            assert!(faulty, "stage 2 failed to make progress (protocol bug)");
             break;
         }
     }
@@ -664,7 +588,7 @@ pub fn run_protocol<E: PhaseExecutor>(
         .filter(|&i| ws.accessed_len[i] < c as u32)
         .count();
     debug_assert!(
-        stats.failed_requests == 0 || faulty || exec.lossy(),
+        stats.failed_requests == 0 || faulty,
         "a fault-free run must reach quorum on every request"
     );
     stats
@@ -692,7 +616,7 @@ mod tests {
         dead: &[bool],
     ) -> (Vec<Vec<usize>>, ProtocolStats) {
         let mut ws = ProtocolWorkspace::new();
-        ws.set_faults(dead, 0.0, 0);
+        ws.set_faults(dead);
         let stats = run_protocol(
             requests,
             clusters,
@@ -826,9 +750,8 @@ mod tests {
     }
 
     /// Executor where one *source processor* is cut off (every attempt it
-    /// issues is killed) — the shape of a per-source link fault on the
-    /// 2DMOT. Transient from the protocol's point of view: the same copy
-    /// can succeed from a different member.
+    /// issues is killed). Transient from the protocol's point of view: the
+    /// same copy can succeed from a different member.
     struct SourceBlocked {
         inner: BipartiteExec,
         blocked_src: usize,
@@ -848,10 +771,6 @@ mod tests {
                 }
             }
             cost
-        }
-
-        fn lossy(&self) -> bool {
-            true
         }
     }
 
@@ -944,7 +863,7 @@ mod tests {
         let mut dead = vec![false; 8];
         dead[3] = true;
         let mut ws = ProtocolWorkspace::new();
-        ws.set_faults(&dead, 0.0, 1);
+        ws.set_faults(&dead);
         // Variables 3 and 11 live in dead module 3, variable 5 in module 5.
         let (accessed, stats) = single_copy_step(8, &[3, 5, 11], &mut ws);
         assert_eq!(accessed, vec![vec![], vec![0], vec![]]);
@@ -959,7 +878,7 @@ mod tests {
     #[test]
     fn an_all_dead_phase_still_costs_a_cycle() {
         let mut ws = ProtocolWorkspace::new();
-        ws.set_faults(&[true; 4], 0.0, 1);
+        ws.set_faults(&[true; 4]);
         let (accessed, stats) = single_copy_step(4, &[1], &mut ws);
         assert_eq!(accessed, vec![Vec::<usize>::new()]);
         assert_eq!(stats.dead_attempts, 1);
@@ -969,39 +888,13 @@ mod tests {
     }
 
     #[test]
-    fn message_drops_are_transient_and_deterministic() {
-        let run = |seed: u64| {
-            let mut ws = ProtocolWorkspace::new();
-            ws.set_faults(&[false; 16], 0.5, seed);
-            let vars: Vec<usize> = (0..16).collect();
-            let mut drops = Vec::new();
-            for _ in 0..10 {
-                let (accessed, stats) = single_copy_step(16, &vars, &mut ws);
-                drops.push(stats.killed_attempts);
-                assert_eq!(stats.dead_attempts, 0, "drops are never permanent");
-                assert!(accessed.iter().all(|a| a == &[0]), "every copy retried");
-            }
-            (drops, ws.dropped_messages())
-        };
-        let (d1, n1) = run(7);
-        let (d2, n2) = run(7);
-        assert_eq!(d1, d2);
-        assert_eq!(n1, n2);
-        assert_eq!(n1, d1.iter().sum::<u64>(), "every kill is a drop");
-        assert!(n1 > 0, "p = 0.5 over 160 attempts must drop something");
-        let (d3, _) = run(8);
-        assert_ne!(d1, d3, "different seed, different drop pattern");
-    }
-
-    #[test]
     fn a_fault_free_mask_is_transparent() {
         let vars = [2, 10, 7];
         let plain = single_copy_step(8, &vars, &mut ProtocolWorkspace::new());
         let mut ws = ProtocolWorkspace::new();
-        ws.set_faults(&[false; 8], 0.0, 1);
-        assert!(!ws.faulty());
+        ws.set_faults(&[false; 8]);
+        assert!(ws.dead().is_empty());
         assert_eq!(single_copy_step(8, &vars, &mut ws), plain);
-        assert_eq!((ws.dead().len(), ws.dropped_messages()), (0, 0));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!   [`pram_machine::SharedMemory`], adding the uniform diagnostics every
 //!   scheme can answer (`kind`, `name`, `redundancy`, `modules`,
 //!   `last_step`, `totals`) and its fault geometry (`set_faults`,
-//!   `unit_loads`, `cell_units`, `fail_links`, `fault_counters`,
-//!   `cell_lost`);
+//!   `unit_loads`, `cell_units`, `cell_lost`);
 //! * [`SchemeKind`] — the closed enumeration of the zoo, with stable
 //!   string names for CLI selection (`repro --scheme hp-2dmot`);
 //! * [`SimBuilder`] — the one validated construction path: every scheme is
@@ -144,11 +143,8 @@ pub trait Scheme: SharedMemory + fmt::Debug + Send {
     fn totals(&self) -> (StepReport, u64);
 
     /// Put static faults on the engine: `dead[u]` kills fault unit `u`
-    /// for good, and each served copy reply is lost with probability
-    /// `message_drop`, drawn from `drop_seed`, and retried (`hashed` and
-    /// `ida` have no replies and ignore it). An all-false mask and a zero
-    /// rate leave the machine healthy.
-    fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64);
+    /// for good. An all-false mask leaves the machine healthy.
+    fn set_faults(&mut self, dead: &[bool]);
 
     /// Copies (or IDA shares) stored per fault unit. Its length is the
     /// number of units a [`set_faults`](Scheme::set_faults) mask covers.
@@ -158,18 +154,6 @@ pub trait Scheme: SharedMemory + fmt::Debug + Send {
     /// copy order, or its block's shares in share order.
     fn cell_units(&self, cell: usize, units: &mut Vec<usize>);
 
-    /// Kill a `fraction` of the routed network's links, chosen from
-    /// `seed`; returns how many died. Only the 2DMOT schemes route over
-    /// links; every other scheme has none to lose.
-    fn fail_links(&mut self, _fraction: f64, _seed: u64) -> usize {
-        0
-    }
-
-    /// Running fault-exposure counters. `None` means the machine is
-    /// healthy (no [`set_faults`](Scheme::set_faults) fault in force)
-    /// and has nothing to report.
-    fn fault_counters(&self) -> Option<FaultTotals>;
-
     /// Whether `addr` is statically *lost* under the engine's fault mask,
     /// so reads return a default rather than a value the program wrote:
     /// all `r` copies dead (majority schemes), its module dead (`hashed`),
@@ -177,17 +161,6 @@ pub trait Scheme: SharedMemory + fmt::Debug + Send {
     /// (`cr-verify`) excuses exactly these reads, so a masked fault run
     /// must verify clean.
     fn cell_lost(&self, addr: usize) -> bool;
-}
-
-/// Cumulative fault-exposure counters of a faulted scheme (absolute
-/// values since construction; callers diff successive reads to get
-/// per-command deltas).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTotals {
-    /// Copy-access attempts that hit a dead module or link.
-    pub dead_attempts: u64,
-    /// Messages dropped by the faulty network.
-    pub dropped_messages: u64,
 }
 
 /// Why a [`SimBuilder`] configuration cannot be realized.

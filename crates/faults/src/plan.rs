@@ -1,7 +1,8 @@
 //! Fault plans: *what* is broken, decided deterministically before the run.
 //!
-//! A [`FaultPlan`] is pure description — fractions of the machine to break
-//! and a [`Placement`] strategy for choosing the victims.
+//! A [`FaultPlan`] is pure description — the fraction of the machine's
+//! modules to break and a [`Placement`] strategy for choosing the
+//! victims.
 //! [`FaultPlan::inject`] materializes it on any scheme the same way: each
 //! engine reports its own fault geometry through `cr_core::Scheme` (the
 //! copies per fault unit and the units holding a cell), the plan draws the
@@ -51,27 +52,18 @@ impl FromStr for Placement {
     }
 }
 
-/// A deterministic description of everything broken in one run.
+/// A deterministic description of everything broken in one run: static
+/// module faults, the Chlebus–Gąsieniec–Pelc model the paper's
+/// redundancy masks.
 ///
-/// Fractions are of the respective universe (modules, processors, links);
-/// a positive fraction always breaks at least one unit (`⌈f·U⌉`), so any
-/// `f > 0` is a real fault scenario. `message_drop` is a transient
-/// per-attempt drop probability — retried by the protocols, it costs time
-/// rather than data. Everything is derived from `seed`, so two runs of the
-/// same plan break byte-identically.
+/// The fraction is of the scheme's modules (its fault units); a positive
+/// fraction always breaks at least one (`⌈f·M⌉`), so any `f > 0` is a
+/// real fault scenario. Everything is derived from `seed`, so two runs of
+/// the same plan break byte-identically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Fraction of memory modules (contention units) statically dead.
     pub module_fraction: f64,
-    /// Fraction of processors statically dead (their requests are never
-    /// issued).
-    pub processor_fraction: f64,
-    /// Probability that a served copy attempt's reply is dropped
-    /// (transient; applies to the protocol-driven copy schemes).
-    pub message_drop: f64,
-    /// Fraction of interconnect links statically dead (2DMOT schemes only
-    /// — the complete-interconnect models have no routed links).
-    pub link_fraction: f64,
     /// Victim selection strategy.
     pub placement: Placement,
     /// The cell the adversarial placement aims at.
@@ -85,9 +77,6 @@ impl FaultPlan {
     pub fn none() -> Self {
         FaultPlan {
             module_fraction: 0.0,
-            processor_fraction: 0.0,
-            message_drop: 0.0,
-            link_fraction: 0.0,
             placement: Placement::Random,
             hot_cell: 0,
             seed: simrng::DEFAULT_SEED,
@@ -114,36 +103,10 @@ impl FaultPlan {
         self
     }
 
-    /// Add static processor faults.
-    pub fn with_processor_fraction(mut self, f: f64) -> Self {
-        self.processor_fraction = f;
-        self
-    }
-
-    /// Add transient message drops.
-    pub fn with_message_drop(mut self, p: f64) -> Self {
-        self.message_drop = p;
-        self
-    }
-
-    /// Add static link faults (2DMOT schemes).
-    pub fn with_link_fraction(mut self, f: f64) -> Self {
-        self.link_fraction = f;
-        self
-    }
-
     /// Aim the adversarial placement at a specific cell.
     pub fn with_hot_cell(mut self, cell: usize) -> Self {
         self.hot_cell = cell;
         self
-    }
-
-    /// Whether this plan breaks nothing at all.
-    pub fn is_fault_free(&self) -> bool {
-        self.module_fraction == 0.0
-            && self.processor_fraction == 0.0
-            && self.message_drop == 0.0
-            && self.link_fraction == 0.0
     }
 
     /// How many units a fraction breaks: `⌈f·universe⌉`, clamped — so any
@@ -152,29 +115,17 @@ impl FaultPlan {
         ((fraction * universe as f64).ceil() as usize).min(universe)
     }
 
-    /// Put the plan's module faults, message drops and link faults on
-    /// `scheme`, with no per-kind code: the dead-module mask is drawn over
-    /// the scheme's own fault units ([`Scheme::unit_loads`], aimed at the
-    /// hot cell's [`Scheme::cell_units`] first when adversarial) and
-    /// handed to [`Scheme::set_faults`] with the drop rate; the 2DMOT
-    /// schemes then lose the plan's fraction of their links.
-    ///
-    /// # Panics
-    ///
-    /// If the plan kills processors. Renumbering the live processors is
-    /// not the engine's job: only [`crate::FaultyScheme`] does it, so such
-    /// a plan is built with [`crate::FaultyBuilder`].
+    /// Put the plan's module faults on `scheme`, with no per-kind code:
+    /// the dead-module mask is drawn over the scheme's own fault units
+    /// ([`Scheme::unit_loads`], aimed at the hot cell's
+    /// [`Scheme::cell_units`] first when adversarial) and handed to
+    /// [`Scheme::set_faults`].
     pub fn inject(&self, scheme: &mut dyn Scheme) {
-        assert!(
-            self.processor_fraction == 0.0,
-            "processor faults need FaultyScheme's renumbering of live processors"
-        );
         let loads = scheme.unit_loads();
         let mut hot = Vec::new();
         scheme.cell_units(self.hot_cell % scheme.size(), &mut hot);
         let dead = self.module_mask(loads.len(), &loads, &hot);
-        scheme.set_faults(&dead, self.message_drop, self.drop_seed());
-        scheme.fail_links(self.link_fraction, self.link_seed());
+        scheme.set_faults(&dead);
     }
 
     /// Materialize the dead-module mask over a universe of `modules`
@@ -221,47 +172,9 @@ impl FaultPlan {
         }
         dead
     }
-
-    /// Materialize the dead-processor mask. Note the machine model
-    /// (Chlebus–Gąsieniec–Pelc-style static faults): surviving processors
-    /// are renumbered contiguously and the protocol's clusters are
-    /// rebuilt over them, so *which* processors die only determines which
-    /// requests are never issued — the count is what degrades the
-    /// machine. Adversarial placement kills a contiguous prefix (max
-    /// requests lost from one cluster's worth of the request stream);
-    /// random placement scatters the losses.
-    pub fn processor_mask(&self, n: usize) -> Vec<bool> {
-        let count = Self::count(self.processor_fraction, n);
-        let mut dead = vec![false; n];
-        match self.placement {
-            Placement::Random => {
-                let mut rng = rng_from_seed(simrng::mix64(self.seed ^ PROC_SALT));
-                for p in rng.sample_distinct(n as u64, count) {
-                    dead[p as usize] = true;
-                }
-            }
-            Placement::Adversarial => {
-                dead.iter_mut().take(count).for_each(|x| *x = true);
-            }
-        }
-        dead
-    }
-
-    /// Sub-seed for the transient message-drop stream.
-    pub fn drop_seed(&self) -> u64 {
-        simrng::mix64(self.seed ^ DROP_SALT)
-    }
-
-    /// Sub-seed for link-fault selection.
-    pub fn link_seed(&self) -> u64 {
-        simrng::mix64(self.seed ^ LINK_SALT)
-    }
 }
 
 const MODULE_SALT: u64 = 0x6d6f_6475_6c65; // "module"
-const PROC_SALT: u64 = 0x7072_6f63; // "proc"
-const DROP_SALT: u64 = 0x6472_6f70; // "drop"
-const LINK_SALT: u64 = 0x6c69_6e6b; // "link"
 
 #[cfg(test)]
 mod tests {
@@ -306,21 +219,5 @@ mod tests {
             Placement::Adversarial
         );
         assert!("chaotic".parse::<Placement>().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "renumbering of live processors")]
-    fn inject_refuses_processor_faults() {
-        let mut s = cr_core::SimBuilder::new(8, 64).build().unwrap();
-        FaultPlan::none()
-            .with_processor_fraction(0.25)
-            .inject(s.as_mut());
-    }
-
-    #[test]
-    fn fault_free_detection() {
-        assert!(FaultPlan::none().is_fault_free());
-        assert!(!FaultPlan::modules(0.1).is_fault_free());
-        assert!(!FaultPlan::none().with_message_drop(0.5).is_fault_free());
     }
 }

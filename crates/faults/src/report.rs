@@ -18,10 +18,6 @@ use std::fmt;
 pub struct FaultReport {
     /// Statically dead memory modules (contention units).
     pub dead_modules: usize,
-    /// Statically dead processors.
-    pub dead_processors: usize,
-    /// Statically dead interconnect links (2DMOT schemes).
-    pub dead_links: usize,
     /// Cells whose data the scheme can no longer guarantee to recover:
     /// hashed — cell's single module dead; majority — all `r` copies dead;
     /// IDA — block left below its share quorum. The cells the engine's
@@ -36,14 +32,10 @@ pub struct FaultReport {
     /// Reads that returned the value the fault-free P-RAM holds.
     pub correct_reads: u64,
     /// Reads that returned a wrong (stale or failed) value for a cell that
-    /// was still recoverable — e.g. a quorum cut short by link faults, or
-    /// state diverged by dead-processor writes that never happened.
+    /// was still recoverable. Always `reads = correct + stale + lost`.
     pub stale_reads: u64,
     /// Reads of statically lost cells.
     pub lost_reads: u64,
-    /// Reads never issued because their processor is dead. Always
-    /// `reads = correct + stale + lost + unserved`.
-    pub unserved_reads: u64,
     /// Writes to statically lost cells (the data has nowhere to live).
     pub lost_writes: u64,
     /// Correct reads of cells with ≥ 1 faulty copy — the majority quorum
@@ -52,12 +44,8 @@ pub struct FaultReport {
     /// Correct reads of cells with ≥ 1 lost share — IDA decoding absorbed
     /// the fault.
     pub recovered_ida: u64,
-    /// Requests never issued because their processor is dead.
-    pub unserved_requests: u64,
     /// Copy attempts written off at dead modules (protocol schemes).
     pub dead_attempts: u64,
-    /// Served attempts whose reply was dropped (transient message faults).
-    pub dropped_messages: u64,
     /// Total phases the faulty machine spent.
     pub faulty_phases: u64,
 }
@@ -65,10 +53,7 @@ pub struct FaultReport {
 impl FaultReport {
     /// Time blowup versus a healthy run that spent `healthy_phases` on
     /// the same requests (1.0 = no slowdown; faults cost nothing when
-    /// nothing was touched). Can dip below 1.0 under *processor* faults:
-    /// dead processors issue less work, so the surviving machine
-    /// genuinely finishes its (smaller) steps sooner than the healthy
-    /// machine finishes the full ones.
+    /// nothing was touched).
     pub fn slowdown(&self, healthy_phases: u64) -> f64 {
         if healthy_phases == 0 {
             1.0
@@ -77,15 +62,12 @@ impl FaultReport {
         }
     }
 
-    /// Fraction of *issued* reads that came back correct (reads a dead
-    /// processor never issued measure processor loss, not data loss, and
-    /// are excluded — see [`Self::unserved_reads`]).
+    /// Fraction of reads that came back correct.
     pub fn read_survival(&self) -> f64 {
-        let issued = self.reads - self.unserved_reads;
-        if issued == 0 {
+        if self.reads == 0 {
             1.0
         } else {
-            self.correct_reads as f64 / issued as f64
+            self.correct_reads as f64 / self.reads as f64
         }
     }
 
@@ -96,20 +78,17 @@ impl FaultReport {
         format!(
             concat!(
                 "{{\"experiment\":\"E14\",\"scheme\":\"{}\",\"f\":{:.6},",
-                "\"dead_modules\":{},\"dead_processors\":{},\"dead_links\":{},",
+                "\"dead_modules\":{},",
                 "\"lost_cells\":{},\"steps\":{},\"reads\":{},\"writes\":{},",
                 "\"correct_reads\":{},\"stale_reads\":{},\"lost_reads\":{},",
-                "\"unserved_reads\":{},",
                 "\"lost_writes\":{},\"recovered_majority\":{},\"recovered_ida\":{},",
-                "\"unserved_requests\":{},\"dead_attempts\":{},\"dropped_messages\":{},",
+                "\"dead_attempts\":{},",
                 "\"faulty_phases\":{},\"baseline_phases\":{},",
                 "\"read_survival\":{:.6},\"slowdown\":{:.4}}}"
             ),
             scheme,
             fraction,
             self.dead_modules,
-            self.dead_processors,
-            self.dead_links,
             self.lost_cells,
             self.steps,
             self.reads,
@@ -117,13 +96,10 @@ impl FaultReport {
             self.correct_reads,
             self.stale_reads,
             self.lost_reads,
-            self.unserved_reads,
             self.lost_writes,
             self.recovered_majority,
             self.recovered_ida,
-            self.unserved_requests,
             self.dead_attempts,
-            self.dropped_messages,
             self.faulty_phases,
             healthy_phases,
             self.read_survival(),
@@ -135,20 +111,15 @@ impl FaultReport {
     /// that spent `healthy_phases` on the same requests.
     pub fn display(&self, healthy_phases: u64) -> impl fmt::Display + '_ {
         fmt::from_fn(move |f| {
-            writeln!(
-                f,
-                "FaultReport: {} dead modules, {} dead processors, {} dead links",
-                self.dead_modules, self.dead_processors, self.dead_links
-            )?;
+            writeln!(f, "FaultReport: {} dead modules", self.dead_modules)?;
             writeln!(f, "  lost cells (unrecoverable): {:>8}", self.lost_cells)?;
             writeln!(
                 f,
-                "  reads: {} total = {} correct + {} stale + {} lost + {} unserved  (survival {:.1}%)",
+                "  reads: {} total = {} correct + {} stale + {} lost  (survival {:.1}%)",
                 self.reads,
                 self.correct_reads,
                 self.stale_reads,
                 self.lost_reads,
-                self.unserved_reads,
                 100.0 * self.read_survival()
             )?;
             writeln!(
@@ -156,16 +127,8 @@ impl FaultReport {
                 "  recovered by majority: {:>6}   recovered by IDA: {:>6}",
                 self.recovered_majority, self.recovered_ida
             )?;
-            writeln!(
-                f,
-                "  writes: {} ({} lost)   unserved requests: {}",
-                self.writes, self.lost_writes, self.unserved_requests
-            )?;
-            writeln!(
-                f,
-                "  dead attempts: {}   dropped messages: {}",
-                self.dead_attempts, self.dropped_messages
-            )?;
+            writeln!(f, "  writes: {} ({} lost)", self.writes, self.lost_writes)?;
+            writeln!(f, "  dead attempts: {}", self.dead_attempts)?;
             write!(
                 f,
                 "  phases: {} vs {} fault-free  (slowdown {:.2}x over {} steps)",

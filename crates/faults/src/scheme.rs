@@ -6,22 +6,19 @@
 //! the zoo's own scheme with `cr_core::SimBuilder` and puts the
 //! [`FaultPlan`] on it with [`FaultPlan::inject`], the same call a served
 //! faulted session makes: the copy-based schemes' cluster protocol writes
-//! off copies in dead modules and retries dropped replies, the 2DMOT
-//! schemes route around dead links, the hashed baseline loses every
-//! request aimed at a dead module, and the IDA scheme decodes from the
-//! surviving shares. Each engine also answers `cell_lost` from its own
-//! mask.
+//! off copies in dead modules, the hashed baseline loses every request
+//! aimed at a dead module, and the IDA scheme decodes from the surviving
+//! shares. Each engine also answers `cell_lost` from its own mask.
 //!
-//! What the harness adds is measurement: the plan's dead processors
-//! (their requests are never issued, the survivors renumbered), and
-//! ground truth — the static-fault model's reference machine, an
-//! [`IdealMemory`] that executes every intended step. Each read is
-//! classified against it, so the [`FaultReport`] counts correct / stale /
-//! lost reads instead of guessing them. The fault-free *cost* is not
-//! this scheme's business: determinism makes it the cost of a same-seed
-//! healthy run of the same requests, which callers measure directly.
+//! What the harness adds is measurement: ground truth — the static-fault
+//! model's reference machine, an [`IdealMemory`] that executes every
+//! step. Each read is classified against it, so the [`FaultReport`]
+//! counts correct / stale / lost reads instead of guessing them. The
+//! fault-free *cost* is not this scheme's business: determinism makes it
+//! the cost of a same-seed healthy run of the same requests, which
+//! callers measure directly.
 
-use cr_core::{BuildError, FaultTotals, Scheme, SchemeKind, SimBuilder, StepReport};
+use cr_core::{BuildError, Scheme, SchemeKind, SimBuilder, StepReport};
 use pram_machine::{AccessResult, IdealMemory, SharedMemory, Word};
 
 use crate::plan::FaultPlan;
@@ -86,9 +83,8 @@ impl FaultyBuilder {
     }
 
     /// Build the scheme exactly as `SimBuilder::build` would (same
-    /// validation, same errors), then put the plan on it: the plan's dead
-    /// processors stay with the harness, everything else goes to the
-    /// engine through [`FaultPlan::inject`].
+    /// validation, same errors), then put the plan on its engine with
+    /// [`FaultPlan::inject`].
     pub fn build(&self) -> Result<FaultyScheme, BuildError> {
         let FaultyBuilder {
             n,
@@ -98,25 +94,13 @@ impl FaultyBuilder {
             plan,
         } = *self;
         let engine = SimBuilder::new(n, m).kind(kind).seed(seed).build()?;
-        let dead_procs = plan.processor_mask(n);
         let mut s = FaultyScheme {
             engine,
             truth: IdealMemory::new(m),
-            plan,
-            report: FaultReport {
-                dead_processors: dead_procs.iter().filter(|&&d| d).count(),
-                ..Default::default()
-            },
-            dead_procs,
             faulty_copies: vec![0; m],
-            live_reads: Vec::with_capacity(n),
-            live_writes: Vec::with_capacity(n),
+            report: FaultReport::default(),
         };
-        FaultPlan {
-            processor_fraction: 0.0,
-            ..plan
-        }
-        .inject(&mut s);
+        plan.inject(&mut s);
         Ok(s)
     }
 }
@@ -129,33 +113,20 @@ impl FaultyBuilder {
 pub struct FaultyScheme {
     /// The zoo's own scheme, with its faults set.
     engine: Box<dyn Scheme>,
-    /// The fault-free P-RAM: every intended write lands here.
+    /// The fault-free P-RAM: every write lands here.
     truth: IdealMemory,
-    plan: FaultPlan,
-    dead_procs: Vec<bool>,
     /// Per cell: copies/shares of this cell residing in dead modules.
     faulty_copies: Vec<u32>,
     report: FaultReport,
-    /// The requests live processors issue (reused across steps, sized
-    /// for `n` processors at build).
-    live_reads: Vec<usize>,
-    live_writes: Vec<(usize, Word)>,
 }
 
 impl FaultyScheme {
     /// The per-run fault metrics accumulated so far.
     pub fn report(&self) -> FaultReport {
-        let counters = self.engine.fault_counters().unwrap_or_default();
         FaultReport {
-            dead_attempts: counters.dead_attempts,
-            dropped_messages: counters.dropped_messages,
+            dead_attempts: self.engine.totals().0.protocol.dead_attempts,
             ..self.report
         }
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Cells the plan made statically unrecoverable.
@@ -182,52 +153,16 @@ impl SharedMemory for FaultyScheme {
 
     // lint: hot
     fn access(&mut self, reads: &[usize], writes: &[(usize, Word)]) -> AccessResult {
-        let nreads = reads.len();
-        let dead_proc = |i: usize| self.dead_procs.get(i).copied().unwrap_or(false);
-        // Requests from dead processors are never issued; the surviving
-        // requests are re-indexed onto the engine's processors 0..k (the
-        // static-fault model's renumbering of live processors).
-        self.live_reads.clear();
-        self.live_writes.clear();
-        for (i, &a) in reads.iter().enumerate() {
-            if !dead_proc(i) {
-                self.live_reads.push(a);
-            }
-        }
-        for (j, &w) in writes.iter().enumerate() {
-            if !dead_proc(nreads + j) {
-                self.live_writes.push(w);
-            }
-        }
-        self.report.unserved_requests +=
-            (nreads + writes.len() - self.live_reads.len() - self.live_writes.len()) as u64;
-        let mut res = self.engine.access(&self.live_reads, &self.live_writes);
-        // Scatter the live values back to their intended slots, in place:
-        // walking down, a live value only moves up, so each one is read
-        // before its slot is overwritten. Unissued reads read 0.
-        let values = &mut res.read_values;
-        let mut k = values.len();
-        values.resize(nreads, 0);
-        for i in (0..nreads).rev() {
-            values[i] = if dead_proc(i) {
-                0
-            } else {
-                k -= 1;
-                values[k]
-            };
-        }
-
-        // Classify every intended read against the fault-free P-RAM,
-        // which then executes the intended writes — all of them, dead
-        // processors' included: that is the run a correct machine makes.
+        let res = self.engine.access(reads, writes);
+        // Classify every read against the fault-free P-RAM, which then
+        // executes the step's writes: that is the run a correct machine
+        // makes.
         let truth = self.truth.cells();
-        for (i, &a) in reads.iter().enumerate() {
+        for (&a, &value) in reads.iter().zip(&res.read_values) {
             self.report.reads += 1;
-            if dead_proc(i) {
-                self.report.unserved_reads += 1;
-            } else if self.engine.cell_lost(a) {
+            if self.engine.cell_lost(a) {
                 self.report.lost_reads += 1;
-            } else if res.read_values[i] == truth[a] {
+            } else if value == truth[a] {
                 self.report.correct_reads += 1;
                 if self.faulty_copies[a] > 0 {
                     match self.engine.kind() {
@@ -283,8 +218,8 @@ impl Scheme for FaultyScheme {
 
     /// The engine takes the faults; the harness recounts what they cost
     /// each cell for its report.
-    fn set_faults(&mut self, dead: &[bool], message_drop: f64, drop_seed: u64) {
-        self.engine.set_faults(dead, message_drop, drop_seed);
+    fn set_faults(&mut self, dead: &[bool]) {
+        self.engine.set_faults(dead);
         let mut units = Vec::new();
         for (cell, faulty) in self.faulty_copies.iter_mut().enumerate() {
             self.engine.cell_units(cell, &mut units);
@@ -302,15 +237,6 @@ impl Scheme for FaultyScheme {
 
     fn cell_units(&self, cell: usize, units: &mut Vec<usize>) {
         self.engine.cell_units(cell, units)
-    }
-
-    fn fail_links(&mut self, fraction: f64, seed: u64) -> usize {
-        self.report.dead_links = self.engine.fail_links(fraction, seed);
-        self.report.dead_links
-    }
-
-    fn fault_counters(&self) -> Option<FaultTotals> {
-        self.engine.fault_counters()
     }
 
     fn cell_lost(&self, addr: usize) -> bool {

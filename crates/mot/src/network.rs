@@ -21,10 +21,7 @@
 //! serialization and pipelining effects are measured, not assumed.
 
 use crate::topology::MotTopology;
-use netsim::{
-    Behavior, DropReason, EdgeId, Engine, EngineConfig, NodeId, Route, RunStats, Topology,
-};
-use simrng::{rng_from_seed, Rng};
+use netsim::{Behavior, EdgeId, Engine, EngineConfig, NodeId, Route, RunStats, Topology};
 
 /// A memory-access request to route through the mesh.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,18 +74,11 @@ pub struct BatchOutcome<P> {
     /// Requests killed by column-admission conflicts or queue overflows
     /// (transient — to be retried by the protocol in a later phase).
     pub killed: Vec<MotRequest<P>>,
-    /// Requests lost to a dead link ([`MotNetwork::fail_links`]). The
-    /// link is permanently dead but the *route* is per-source: a retry of
-    /// the same request from a different source root can route around the
-    /// fault (which is how `cr-core`'s `MotExec` consumes this bucket —
-    /// it retries with a rotated source). Only write a request off as
-    /// permanent if it will always be re-sent from the same source.
-    pub faulted: Vec<MotRequest<P>>,
     /// Engine statistics; `stats.cycles` is the phase's duration.
     pub stats: RunStats,
 }
 
-/// Caller-owned, batch-reusable served/killed/faulted buffers for
+/// Caller-owned, batch-reusable served/killed buffers for
 /// [`MotNetwork::route_batch_into`] — the allocation-free counterpart of
 /// [`BatchOutcome`]. Hold one per phase-driving loop and recycle it.
 #[derive(Debug)]
@@ -97,8 +87,6 @@ pub struct BatchBuffers<P> {
     pub served: Vec<MotRequest<P>>,
     /// Requests killed transiently (admission conflicts, queue overflow).
     pub killed: Vec<MotRequest<P>>,
-    /// Requests lost to a dead link (see [`BatchOutcome::faulted`]).
-    pub faulted: Vec<MotRequest<P>>,
 }
 
 impl<P> BatchBuffers<P> {
@@ -108,7 +96,6 @@ impl<P> BatchBuffers<P> {
         BatchBuffers {
             served: Vec::new(),
             killed: Vec::new(),
-            faulted: Vec::new(),
         }
     }
 }
@@ -243,8 +230,6 @@ pub struct MotNetwork<P> {
     /// the run; a separate buffer because the router already holds the
     /// kill list mutably while the engine reports drops).
     overflow: Vec<MotPacket<P>>,
-    /// Packet pool for dead-link drops (drained into `faulted`).
-    dead_dropped: Vec<MotPacket<P>>,
 }
 
 impl<P> MotNetwork<P> {
@@ -271,41 +256,12 @@ impl<P> MotNetwork<P> {
             engine,
             col_admit,
             overflow: Vec::new(),
-            dead_dropped: Vec::new(),
         }
     }
 
     /// The topology (for inspection / area accounting).
     pub fn topology(&self) -> &MotTopology {
         &self.mot
-    }
-
-    /// Permanently kill the given directed edges: packets routed onto them
-    /// are dropped and reported in [`BatchOutcome::faulted`].
-    pub fn fail_links(&mut self, edges: &[EdgeId]) {
-        for &e in edges {
-            assert!(e < self.mot.graph().edge_count(), "edge {e} out of range");
-            self.engine.fail_link(e);
-        }
-    }
-
-    /// Kill `⌈fraction · edges⌉` links chosen uniformly (deterministically
-    /// from `seed`); returns how many links are now dead.
-    pub fn fail_random_links(&mut self, fraction: f64, seed: u64) -> usize {
-        let edges = self.mot.graph().edge_count();
-        let count = ((fraction * edges as f64).ceil() as usize).min(edges);
-        if count > 0 {
-            let mut rng = rng_from_seed(seed);
-            for e in rng.sample_distinct(edges as u64, count) {
-                self.engine.fail_link(e as EdgeId);
-            }
-        }
-        self.engine.dead_link_count()
-    }
-
-    /// Number of directed edges currently marked dead.
-    pub fn dead_links(&self) -> usize {
-        self.engine.dead_link_count()
     }
 
     /// Route one batch (= one protocol phase) through caller-owned
@@ -318,8 +274,8 @@ impl<P> MotNetwork<P> {
     ///   phases, larger for pipelined phases);
     /// * `serve(row, col, payload)` — the memory-module callback, invoked
     ///   exactly once per served request when it reaches its leaf;
-    /// * `out` — cleared, then filled with the batch's served / killed /
-    ///   faulted requests.
+    /// * `out` — cleared, then filled with the batch's served and killed
+    ///   requests.
     // lint: hot
     pub fn route_batch_into<F: FnMut(usize, usize, &mut P)>(
         &mut self,
@@ -332,7 +288,6 @@ impl<P> MotNetwork<P> {
         self.col_admit.iter_mut().for_each(|x| *x = 0);
         out.served.clear();
         out.killed.clear();
-        out.faulted.clear();
         for r in reqs.iter() {
             assert!(
                 r.src_root < side && r.row < side && r.col < side,
@@ -359,18 +314,12 @@ impl<P> MotNetwork<P> {
             killed: &mut out.killed,
         };
         let overflow = &mut self.overflow;
-        let dead_dropped = &mut self.dead_dropped;
         let stats = self
             .engine
-            .run_until_quiet(self.mot.graph(), &mut router, |p, reason| match reason {
-                DropReason::QueueFull => overflow.push(p),
-                DropReason::DeadLink => dead_dropped.push(p),
-            });
+            .run_until_quiet(self.mot.graph(), &mut router, |p| overflow.push(p));
         out.killed.extend(self.overflow.drain(..).map(|p| p.req));
-        out.faulted
-            .extend(self.dead_dropped.drain(..).map(|p| p.req));
         debug_assert_eq!(
-            out.served.len() + out.killed.len() + out.faulted.len(),
+            out.served.len() + out.killed.len(),
             n_reqs,
             "requests must be accounted for"
         );
@@ -391,7 +340,6 @@ impl<P> MotNetwork<P> {
         BatchOutcome {
             served: out.served,
             killed: out.killed,
-            faulted: out.faulted,
             stats,
         }
     }
@@ -675,75 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_links_fault_requests_permanently() {
-        let side = 8;
-        let mut net: MotNetwork<Op> = MotNetwork::new(side);
-        let mem = grid_memory(side);
-        // Kill root 0's first row-tree down-link: every request from root 0
-        // dies on its first hop; other roots are untouched.
-        let root = net.topology().root(0);
-        let first_down: Vec<_> = net.topology().graph().out_edges(root).collect();
-        net.fail_links(&first_down);
-        assert_eq!(net.dead_links(), first_down.len());
-        let mk = |src: usize| MotRequest {
-            to_root: false,
-            src_root: src,
-            row: 3,
-            col: (src + 1) % side,
-            payload: Op {
-                write: None,
-                result: -1,
-            },
-        };
-        let out = net.route_batch(vec![mk(0), mk(4)], 1, |r, c, p| {
-            p.result = mem[r * side + c]
-        });
-        assert_eq!(out.served.len(), 1);
-        assert_eq!(out.served[0].src_root, 4);
-        assert_eq!(out.killed.len(), 0, "link faults are not transient kills");
-        assert_eq!(out.faulted.len(), 1);
-        assert_eq!(out.faulted[0].src_root, 0);
-        assert_eq!(out.stats.link_faulted, 1);
-        // Retrying reproduces the fault — it is permanent, not a race.
-        let again = net.route_batch(vec![mk(0)], 1, |r, c, p| p.result = mem[r * side + c]);
-        assert_eq!(again.faulted.len(), 1);
-    }
-
-    #[test]
-    fn fail_random_links_is_deterministic_and_bounded() {
-        let side = 8;
-        let mut a: MotNetwork<Op> = MotNetwork::new(side);
-        let mut b: MotNetwork<Op> = MotNetwork::new(side);
-        let da = a.fail_random_links(0.05, 42);
-        let db = b.fail_random_links(0.05, 42);
-        assert_eq!(da, db);
-        assert!(da > 0);
-        let edges = a.topology().graph().edge_count();
-        assert_eq!(da, (0.05f64 * edges as f64).ceil() as usize);
-        // Same seed, same batch: identical outcome on both networks.
-        let mem = grid_memory(side);
-        let mk = || {
-            (0..side)
-                .map(|t| MotRequest {
-                    to_root: false,
-                    src_root: t,
-                    row: (t * 3) % side,
-                    col: (t * 5) % side,
-                    payload: Op {
-                        write: None,
-                        result: -1,
-                    },
-                })
-                .collect::<Vec<_>>()
-        };
-        let oa = a.route_batch(mk(), 1, |r, c, p| p.result = mem[r * side + c]);
-        let ob = b.route_batch(mk(), 1, |r, c, p| p.result = mem[r * side + c]);
-        assert_eq!(oa.served, ob.served);
-        assert_eq!(oa.faulted, ob.faulted);
-        assert_eq!(oa.stats.cycles, ob.stats.cycles);
-    }
-
-    #[test]
     fn queue_overflow_kills_are_counted_and_retryable() {
         // A tiny queue capacity forces the engine's collision-kill path:
         // many requests from one root share its row-tree links and pile up.
@@ -767,7 +646,6 @@ mod tests {
         let out = net.route_batch(mk(), side, |r, c, p| p.result = mem[r * side + c]);
         assert!(out.stats.dropped > 0, "capacity 1 must overflow");
         assert_eq!(out.killed.len(), out.stats.dropped as usize);
-        assert_eq!(out.faulted.len(), 0);
         assert_eq!(out.served.len() + out.killed.len(), side);
         // The engine drains fully and stays deterministic afterward.
         let again = net.route_batch(mk(), side, |r, c, p| p.result = mem[r * side + c]);
@@ -813,7 +691,7 @@ mod tests {
     /// or reply timing) moves it.
     #[test]
     fn route_batch_outcomes_match_the_pinned_digest() {
-        use simrng::{fnv1a, FNV_OFFSET};
+        use simrng::{fnv1a, rng_from_seed, Rng, FNV_OFFSET};
         let fold_reqs = |h: &mut u64, list: &[MotRequest<u64>]| {
             fnv1a(h, list.len() as u64);
             for q in list {

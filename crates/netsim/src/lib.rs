@@ -124,23 +124,6 @@ impl Topology {
     }
 }
 
-/// Why the engine dropped a packet (reported through the `on_drop`
-/// callback of [`Engine::run_until_quiet`]).
-///
-/// The distinction matters to protocols: a queue-full kill is *transient*
-/// (the same packet can be retried next phase and may get through), while a
-/// dead link is a *permanent* fault — retrying the **same route** can never
-/// succeed, so the protocol should either reroute (retry from a different
-/// source) or write the request off instead of spinning on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// Arrived at a node whose queue was full (the deterministic 2DMOT
-    /// protocols' "collision kill").
-    QueueFull,
-    /// Tried to traverse a link marked dead via [`Engine::fail_link`].
-    DeadLink,
-}
-
 /// What a node does with a packet this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
@@ -197,9 +180,6 @@ pub struct RunStats {
     pub hops: u64,
     /// Packets dropped on arrival at a full queue.
     pub dropped: u64,
-    /// Packets dropped because they were routed onto a dead link
-    /// (fault injection via [`Engine::fail_link`]).
-    pub link_faulted: u64,
     /// Packets discarded by behavior choice.
     pub discarded: u64,
     /// Largest queue occupancy observed at any node.
@@ -208,8 +188,6 @@ pub struct RunStats {
 
 /// End of the free list; a free link slot.
 const NIL: u32 = u32::MAX;
-/// Link slot of an edge killed by [`Engine::fail_link`].
-const DEAD: u32 = u32::MAX - 1;
 
 /// One node's FIFO queue: an intrusive list through the slab's `next`
 /// links. `head` and `tail` are meaningful only while `len > 0`.
@@ -239,7 +217,7 @@ pub struct Engine<T> {
     free: u32,
     queues: Vec<Queue>,
     /// Per edge: the slab index of the packet in flight (delivered at the
-    /// start of next cycle), [`NIL`] when free, [`DEAD`] when failed.
+    /// start of next cycle), or [`NIL`] when free.
     links: Vec<u32>,
     /// Edges with an in-flight packet.
     occupied: Vec<u32>,
@@ -274,17 +252,6 @@ impl<T> Engine<T> {
         }
     }
 
-    /// Mark a directed edge as permanently dead: any packet routed onto it
-    /// is dropped and reported with [`DropReason::DeadLink`].
-    pub fn fail_link(&mut self, e: EdgeId) {
-        self.links[e] = DEAD;
-    }
-
-    /// Number of edges currently marked dead.
-    pub fn dead_link_count(&self) -> usize {
-        self.links.iter().filter(|&&l| l == DEAD).count()
-    }
-
     /// Inject a packet directly into a node's queue (bypasses capacity:
     /// models work originating at the node).
     pub fn inject(&mut self, node: NodeId, packet: T) {
@@ -298,7 +265,7 @@ impl<T> Engine<T> {
     fn store(&mut self, packet: T) -> u32 {
         if self.free == NIL {
             let slot = self.packets.len() as u32;
-            assert!(slot < DEAD, "packet slab exhausted");
+            assert!(slot < NIL, "packet slab exhausted");
             self.packets.push(Some(packet));
             self.next.push(NIL);
             slot
@@ -338,9 +305,9 @@ impl<T> Engine<T> {
     }
 
     /// Run until no packet remains queued or in flight. Returns statistics;
-    /// dropped packets are handed to `on_drop` with the [`DropReason`] so
-    /// protocols can mark the corresponding requests failed (transiently
-    /// for queue overflows, permanently for dead links).
+    /// packets dropped at a full queue are handed to `on_drop`, so
+    /// protocols can count the corresponding requests killed and retry
+    /// them.
     ///
     /// Panics when `max_cycles` is exceeded (a protocol bug, not a
     /// condition to handle).
@@ -349,7 +316,7 @@ impl<T> Engine<T> {
         &mut self,
         topo: &Topology,
         behavior: &mut B,
-        mut on_drop: impl FnMut(T, DropReason),
+        mut on_drop: impl FnMut(T),
     ) -> RunStats {
         let mut stats = RunStats::default();
 
@@ -373,7 +340,7 @@ impl<T> Engine<T> {
                 let to = topo.dest(e as EdgeId) as u32;
                 if self.queues[to as usize].len as usize >= self.cfg.queue_capacity {
                     stats.dropped += 1;
-                    on_drop(self.release(slot), DropReason::QueueFull);
+                    on_drop(self.release(slot));
                 } else {
                     let len = self.enqueue(to, slot);
                     stats.max_queue = stats.max_queue.max(len as usize);
@@ -404,20 +371,13 @@ impl<T> Engine<T> {
                                 node as NodeId,
                                 "edge must leave node"
                             );
-                            match self.links[e] {
-                                DEAD => {
-                                    stats.link_faulted += 1;
-                                    on_drop(self.release(slot), DropReason::DeadLink);
-                                }
-                                NIL => {
-                                    self.links[e] = slot;
-                                    self.occupied.push(e as u32);
-                                    stats.hops += 1;
-                                }
-                                _ => {
-                                    // Stalled: link busy this cycle.
-                                    self.enqueue(node, slot);
-                                }
+                            if self.links[e] == NIL {
+                                self.links[e] = slot;
+                                self.occupied.push(e as u32);
+                                stats.hops += 1;
+                            } else {
+                                // Stalled: link busy this cycle.
+                                self.enqueue(node, slot);
                             }
                         }
                         Route::Consume => {
@@ -499,7 +459,7 @@ mod tests {
         let mut eng = Engine::new(&topo, EngineConfig::default());
         eng.inject(0, WalkPacket { dest: 4, id: 1 });
         let mut b = LineBehavior { consumed: vec![] };
-        let stats = eng.run_until_quiet(&topo, &mut b, |_, _| {});
+        let stats = eng.run_until_quiet(&topo, &mut b, |_| {});
         assert_eq!(b.consumed, vec![1]);
         assert_eq!(stats.hops, 4);
         // 4 hops at 1 cycle each + the consume cycle.
@@ -515,7 +475,7 @@ mod tests {
             eng.inject(0, WalkPacket { dest: 2, id });
         }
         let mut b = LineBehavior { consumed: vec![] };
-        let stats = eng.run_until_quiet(&topo, &mut b, |_, _| {});
+        let stats = eng.run_until_quiet(&topo, &mut b, |_| {});
         assert_eq!(b.consumed.len(), 4);
         // FIFO order preserved.
         assert_eq!(b.consumed, vec![0, 1, 2, 3]);
@@ -547,11 +507,10 @@ mod tests {
         eng.inject(s1, WalkPacket { dest: sink, id: 11 });
         let mut b = LineBehavior { consumed: vec![] };
         let mut dropped = Vec::new();
-        let stats = eng.run_until_quiet(&topo, &mut b, |p, r| dropped.push((p.id, r)));
+        let stats = eng.run_until_quiet(&topo, &mut b, |p| dropped.push(p.id));
         // Both arrive in the same cycle at a capacity-1 queue: one dies.
         assert_eq!(stats.dropped, 1);
-        assert_eq!(dropped.len(), 1);
-        assert_eq!(dropped[0].1, DropReason::QueueFull);
+        assert_eq!(dropped, vec![11]);
         assert_eq!(b.consumed.len(), 1);
     }
 
@@ -581,10 +540,7 @@ mod tests {
             }
             let mut b = LineBehavior { consumed: vec![] };
             let mut dropped = Vec::new();
-            let stats = eng.run_until_quiet(&topo, &mut b, |p, r| {
-                assert_eq!(r, DropReason::QueueFull);
-                dropped.push(p.id);
-            });
+            let stats = eng.run_until_quiet(&topo, &mut b, |p| dropped.push(p.id));
             (stats, b.consumed, dropped)
         };
         let (s1, c1, d1) = run(&mut eng);
@@ -600,25 +556,6 @@ mod tests {
         assert_eq!(s2.cycles, s1.cycles);
         assert_eq!(c2, c1);
         assert_eq!(d2, d1);
-    }
-
-    #[test]
-    fn dead_link_drops_at_forward_time() {
-        let topo = line(4); // 0 -> 1 -> 2 -> 3
-        let mut eng = Engine::new(&topo, EngineConfig::default());
-        // Kill the 1 -> 2 edge: packets die when node 1 tries to forward.
-        eng.fail_link(1);
-        assert_eq!(eng.dead_link_count(), 1);
-        eng.inject(0, WalkPacket { dest: 3, id: 7 });
-        let mut b = LineBehavior { consumed: vec![] };
-        let mut dropped = Vec::new();
-        let stats = eng.run_until_quiet(&topo, &mut b, |p, r| dropped.push((p.id, r)));
-        assert!(b.consumed.is_empty());
-        assert_eq!(stats.link_faulted, 1);
-        assert_eq!(stats.dropped, 0);
-        assert_eq!(dropped, vec![(7, DropReason::DeadLink)]);
-        // Only the 0 -> 1 hop was traversed.
-        assert_eq!(stats.hops, 1);
     }
 
     #[test]
@@ -670,7 +607,7 @@ mod tests {
             a,
             b: bnode,
         };
-        let stats = eng.run_until_quiet(&topo, &mut b, |_, _| {});
+        let stats = eng.run_until_quiet(&topo, &mut b, |_| {});
         assert_eq!(b.replies_received, 1);
         assert_eq!(stats.delivered, 2); // request + reply
         assert_eq!(stats.hops, 2);
@@ -705,7 +642,7 @@ mod tests {
             },
         );
         eng.inject(a, 0);
-        let _ = eng.run_until_quiet(&topo, &mut Spin, |_, _| {});
+        let _ = eng.run_until_quiet(&topo, &mut Spin, |_| {});
     }
 
     #[test]
@@ -764,7 +701,7 @@ mod tests {
             src,
             got: 0,
         };
-        let stats = eng.run_until_quiet(&topo, &mut b, |_, _| {});
+        let stats = eng.run_until_quiet(&topo, &mut b, |_| {});
         assert_eq!(b.got, 2);
         // Both depart cycle 1, arrive cycle 2, consumed cycle 2.
         assert_eq!(stats.cycles, 2);
@@ -800,7 +737,7 @@ mod tests {
             eng.inject(0, id);
         }
         let mut b = Reply { got: vec![] };
-        eng.run_until_quiet(&topo, &mut b, |_, _| {});
+        eng.run_until_quiet(&topo, &mut b, |_| {});
         // Cycle 1: 0 takes the link, 1 is answered, 2 stalls; the reply
         // queues behind 2.
         assert_eq!(b.got, vec![0, 2, 10]);

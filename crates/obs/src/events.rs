@@ -32,8 +32,8 @@ pub enum EventKind {
     /// A command arrived while the shard queue was at capacity:
     /// `a` = observed depth.
     QueueFull,
-    /// A step was served through fault handling: `a` = dead copy-access
-    /// attempts, `b` = dropped messages (deltas for this command).
+    /// A step command met dead modules: `a` = the copy-access attempts
+    /// it wrote off there.
     Fault,
     /// A PRAM-consistency snapshot (`VERIFY` served, or a session's
     /// first violation): `a` = ops checked, `b` = violated (0/1).
@@ -108,10 +108,7 @@ impl Event {
             EventKind::Evict => format!(",\"steps\":{}}}", self.a),
             EventKind::Close => format!(",\"steps\":{},\"trace\":\"{:016x}\"}}", self.a, self.b),
             EventKind::QueueFull => format!(",\"depth\":{}}}", self.a),
-            EventKind::Fault => format!(
-                ",\"dead_attempts\":{},\"dropped_messages\":{}}}",
-                self.a, self.b
-            ),
+            EventKind::Fault => format!(",\"dead_attempts\":{}}}", self.a),
             EventKind::Verify => format!(",\"ops\":{},\"violated\":{}}}", self.a, self.b),
             EventKind::Crash => format!(",\"lost\":{}}}", self.a),
             EventKind::Restart => "}".to_string(),
@@ -300,6 +297,19 @@ mod tests {
         assert_eq!(
             vf.to_json(),
             "{\"tick\":2,\"sid\":5,\"kind\":\"verify\",\"ops\":640,\"violated\":0}"
+        );
+        let fault = Event {
+            tick: 4,
+            sid: 5,
+            kind: EventKind::Fault,
+            a: 385,
+            b: 0,
+            c: 0,
+            d: 0,
+        };
+        assert_eq!(
+            fault.to_json(),
+            "{\"tick\":4,\"sid\":5,\"kind\":\"fault\",\"dead_attempts\":385}"
         );
         let crash = Event {
             tick: 3,

@@ -12,7 +12,7 @@
 //! consistency checking over read/write traces.
 
 use cr_core::clock::{SimClock, Tick};
-use cr_core::{FaultTotals, Scheme, SchemeKind, SimBuilder};
+use cr_core::{Scheme, SchemeKind, SimBuilder};
 use cr_faults::FaultPlan;
 use cr_obs::SharedHistogram;
 use cr_verify::{SessionVerifier, VerifyDelta, VerifyMode, VerifyReport};
@@ -149,10 +149,9 @@ pub struct StepSummary {
     pub stage1_cycles: u64,
     /// Cycles attributed to stage 2 (`cycles - stage1_cycles`).
     pub stage2_cycles: u64,
-    /// Dead copy-access attempts this command exposed (fault sessions).
+    /// Copy-access attempts this command wrote off at dead modules
+    /// (fault sessions).
     pub dead_attempts: u64,
-    /// Messages the faulty network dropped during this command.
-    pub dropped_messages: u64,
     /// Ops PRAM-checked during this command.
     pub verify_ops: u64,
     /// Whether this command produced the session's *first* PRAM
@@ -198,9 +197,6 @@ pub struct Session {
     /// session is warm, stepping allocates nothing.
     pattern: StepPattern,
     scratch: Vec<u64>,
-    /// Fault counters at the end of the previous command — the baseline
-    /// for per-command deltas ([`Scheme::fault_counters`] is cumulative).
-    fault_seen: FaultTotals,
     /// Online PRAM-consistency checking (`cr-verify`), fed right next
     /// to the trace-hash update in [`step`](Session::step).
     verifier: SessionVerifier,
@@ -262,7 +258,6 @@ impl Session {
             stride_offset: 0,
             pattern: StepPattern::default(),
             scratch: Vec::new(),
-            fault_seen: FaultTotals::default(),
             verifier,
             spec,
             last_touch: now,
@@ -400,6 +395,7 @@ impl Session {
         let mut cycles = 0u64;
         let mut messages = 0u64;
         let mut stage1_cycles = 0u64;
+        let mut dead_attempts = 0u64;
         let mut verify = VerifyDelta::default();
         let t0 = clock.now();
         for _ in 0..run {
@@ -462,27 +458,14 @@ impl Session {
             phases += res.cost.phases;
             cycles += res.cost.cycles;
             messages += res.cost.messages;
-            stage1_cycles += self.scheme.last_step().protocol.stage1_cycles;
+            let proto = self.scheme.last_step().protocol;
+            stage1_cycles += proto.stage1_cycles;
+            dead_attempts += proto.dead_attempts;
             self.steps += 1;
         }
         let now = clock.now();
         latency.record_n(now.since(t0).as_nanos() as u64 / run, run);
         self.touch(now);
-        // Per-command fault exposure: the scheme reports lifetime
-        // absolutes, so diff against what the previous command saw.
-        let (dead_attempts, dropped_messages) = match self.scheme.fault_counters() {
-            Some(t) => {
-                let d = (
-                    t.dead_attempts
-                        .saturating_sub(self.fault_seen.dead_attempts),
-                    t.dropped_messages
-                        .saturating_sub(self.fault_seen.dropped_messages),
-                );
-                self.fault_seen = t;
-                d
-            }
-            None => (0, 0),
-        };
         Ok(StepSummary {
             executed: run,
             total_steps: self.steps,
@@ -492,7 +475,6 @@ impl Session {
             stage1_cycles,
             stage2_cycles: cycles.saturating_sub(stage1_cycles),
             dead_attempts,
-            dropped_messages,
             verify_ops: verify.ops,
             verify_violation: verify.violated,
             exhausted: run < count,

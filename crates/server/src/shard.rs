@@ -388,16 +388,9 @@ impl ShardCore {
                             sum.stage2_cycles,
                             sum.messages,
                         );
-                        if sum.dead_attempts > 0 || sum.dropped_messages > 0 {
+                        if sum.dead_attempts > 0 {
                             self.obs.faults.inc();
-                            self.event(
-                                EventKind::Fault,
-                                sid,
-                                sum.dead_attempts,
-                                sum.dropped_messages,
-                                0,
-                                0,
-                            );
+                            self.event(EventKind::Fault, sid, sum.dead_attempts, 0, 0, 0);
                         }
                         if sum.verify_violation {
                             // Clean → violated transition: once per

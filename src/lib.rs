@@ -18,9 +18,9 @@
 //!   contribution plus all baselines), unified behind the object-safe
 //!   [`core::Scheme`] trait and constructed via [`core::SimBuilder`];
 //! * [`faults`] — deterministic fault injection: [`faults::FaultPlan`]
-//!   puts module, link, and message faults on any scheme's engine, and
-//!   [`faults::FaultyBuilder`] adds processor faults and E14's harness,
-//!   which judges each read against an ideal memory;
+//!   puts static module faults on any scheme's engine, and
+//!   [`faults::FaultyBuilder`] adds E14's harness, which judges each read
+//!   against an ideal memory;
 //! * [`serve`] — the sharded session service: thousands of concurrent
 //!   simulations multiplexed across worker shards, in-process
 //!   ([`serve::Service`]) or over TCP ([`serve::tcp::Server`]);

@@ -215,14 +215,17 @@ fn e14_faults_emits_one_json_row_per_scheme_fraction_pair() {
 
 /// E14's `json:` block at `repro`'s default seed, as one FNV-1a hash
 /// per placement: `repro faults` and `repro --fault-mode adversarial
-/// faults`. Captured before the dead-module and message-drop rules moved
-/// from an executor decorator into the cluster protocol; every row of
-/// every kind must survive such a move byte for byte. To print the
-/// hashes: `GOLDEN=print cargo test --test experiments_smoke e14_json --
-/// --nocapture`.
+/// faults`. First captured before the dead-module rule moved from an
+/// executor decorator into the cluster protocol; re-pinned when the rows
+/// lost the five keys that read 0 under module faults (`dead_processors`,
+/// `dead_links`, `unserved_reads`, `unserved_requests`,
+/// `dropped_messages`), as the hash of the earlier block with those keys
+/// removed. Every remaining byte of every row must survive an engine
+/// rewrite. To print the hashes: `GOLDEN=print cargo test --test
+/// experiments_smoke e14_json -- --nocapture`.
 const E14_JSON: [(pramsim::faults::Placement, &str); 2] = [
-    (pramsim::faults::Placement::Random, "a14bf914512c043b"),
-    (pramsim::faults::Placement::Adversarial, "87858995ddc8e2dd"),
+    (pramsim::faults::Placement::Random, "e6c3d88ca0a9759b"),
+    (pramsim::faults::Placement::Adversarial, "d0678814618da09d"),
 ];
 
 #[test]

@@ -122,23 +122,23 @@ const EXPECTED: [&str; 6] = [
 const EXPECTED_FAULTY: [(&str, &str); 5] = [
     (
         "uw-mpc",
-        r#"readhash=ba540904d4bc1871 {"experiment":"E14","scheme":"uw-mpc","f":0.125000,"dead_modules":2,"dead_processors":0,"dead_links":0,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":85,"recovered_ida":0,"unserved_requests":0,"dead_attempts":134,"dropped_messages":0,"faulty_phases":153,"baseline_phases":141,"read_survival":1.000000,"slowdown":1.0851}"#,
+        r#"readhash=ba540904d4bc1871 {"experiment":"E14","scheme":"uw-mpc","f":0.125000,"dead_modules":2,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"lost_writes":0,"recovered_majority":85,"recovered_ida":0,"dead_attempts":134,"faulty_phases":153,"baseline_phases":141,"read_survival":1.000000,"slowdown":1.0851}"#,
     ),
     (
         "hp-dmmpc",
-        r#"readhash=4691ac9e1ea734fc {"experiment":"E14","scheme":"hp-dmmpc","f":0.125000,"dead_modules":8,"dead_processors":0,"dead_links":0,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":126,"recovered_ida":0,"unserved_requests":0,"dead_attempts":385,"dropped_messages":0,"faulty_phases":228,"baseline_phases":228,"read_survival":1.000000,"slowdown":1.0000}"#,
+        r#"readhash=4691ac9e1ea734fc {"experiment":"E14","scheme":"hp-dmmpc","f":0.125000,"dead_modules":8,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"lost_writes":0,"recovered_majority":126,"recovered_ida":0,"dead_attempts":385,"faulty_phases":228,"baseline_phases":228,"read_survival":1.000000,"slowdown":1.0000}"#,
     ),
     (
         "hp-2dmot",
-        r#"readhash=1ac78acf79807d6d {"experiment":"E14","scheme":"hp-2dmot","f":0.125000,"dead_modules":8,"dead_processors":0,"dead_links":0,"lost_cells":0,"steps":12,"reads":72,"writes":24,"correct_reads":72,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":68,"recovered_ida":0,"unserved_requests":0,"dead_attempts":162,"dropped_messages":0,"faulty_phases":132,"baseline_phases":132,"read_survival":1.000000,"slowdown":1.0000}"#,
+        r#"readhash=1ac78acf79807d6d {"experiment":"E14","scheme":"hp-2dmot","f":0.125000,"dead_modules":8,"lost_cells":0,"steps":12,"reads":72,"writes":24,"correct_reads":72,"stale_reads":0,"lost_reads":0,"lost_writes":0,"recovered_majority":68,"recovered_ida":0,"dead_attempts":162,"faulty_phases":132,"baseline_phases":132,"read_survival":1.000000,"slowdown":1.0000}"#,
     ),
     (
         "hashed",
-        r#"readhash=20afd54cb528da61 {"experiment":"E14","scheme":"hashed","f":0.125000,"dead_modules":8,"dead_processors":0,"dead_links":0,"lost_cells":34,"steps":12,"reads":132,"writes":60,"correct_reads":112,"stale_reads":0,"lost_reads":20,"unserved_reads":0,"lost_writes":13,"recovered_majority":0,"recovered_ida":0,"unserved_requests":0,"dead_attempts":0,"dropped_messages":0,"faulty_phases":22,"baseline_phases":22,"read_survival":0.848485,"slowdown":1.0000}"#,
+        r#"readhash=20afd54cb528da61 {"experiment":"E14","scheme":"hashed","f":0.125000,"dead_modules":8,"lost_cells":34,"steps":12,"reads":132,"writes":60,"correct_reads":112,"stale_reads":0,"lost_reads":20,"lost_writes":13,"recovered_majority":0,"recovered_ida":0,"dead_attempts":0,"faulty_phases":22,"baseline_phases":22,"read_survival":0.848485,"slowdown":1.0000}"#,
     ),
     (
         "ida",
-        r#"readhash=76a3be6100e80e91 {"experiment":"E14","scheme":"ida","f":0.125000,"dead_modules":3,"dead_processors":0,"dead_links":0,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":0,"recovered_ida":98,"unserved_requests":0,"dead_attempts":0,"dropped_messages":0,"faulty_phases":68,"baseline_phases":67,"read_survival":1.000000,"slowdown":1.0149}"#,
+        r#"readhash=76a3be6100e80e91 {"experiment":"E14","scheme":"ida","f":0.125000,"dead_modules":3,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"lost_writes":0,"recovered_majority":0,"recovered_ida":98,"dead_attempts":0,"faulty_phases":68,"baseline_phases":67,"read_survival":1.000000,"slowdown":1.0149}"#,
     ),
 ];
 
@@ -185,12 +185,12 @@ const EXPECTED_ROUTED_N16: [(SchemeKind, &str, &str); 2] = [
     (
         SchemeKind::Hp2dmotLeaves,
         "hp-2dmot n=16 m=64 steps=12 req=192 phases=180 cycles=5088 messages=72792 readhash=b4074b2488200504 last=StepReport { requests: 16, phases: 15, cycles: 423, messages: 6006, protocol: ProtocolStats { stage1_phases: 11, stage2_phases: 0, cycles: 423, messages: 6006, stage1_cycles: 423, stage1_messages: 6006, stage1_leftover: 0, killed_attempts: 11, dead_attempts: 0, failed_requests: 0, copies_accessed: 165 } }",
-        r#"readhash=ae405da34fb990a0 {"experiment":"E14","scheme":"hp-2dmot","f":0.125000,"dead_modules":8,"dead_processors":0,"dead_links":0,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":102,"recovered_ida":0,"unserved_requests":0,"dead_attempts":236,"dropped_messages":0,"faulty_phases":180,"baseline_phases":180,"read_survival":1.000000,"slowdown":1.0000}"#,
+        r#"readhash=ae405da34fb990a0 {"experiment":"E14","scheme":"hp-2dmot","f":0.125000,"dead_modules":8,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"lost_writes":0,"recovered_majority":102,"recovered_ida":0,"dead_attempts":236,"faulty_phases":180,"baseline_phases":180,"read_survival":1.000000,"slowdown":1.0000}"#,
     ),
     (
         SchemeKind::Lpp2dmot,
         "lpp-2dmot n=16 m=64 steps=12 req=192 phases=113 cycles=1179 messages=8944 readhash=f09681e2e1db6ec5 last=StepReport { requests: 16, phases: 9, cycles: 91, messages: 696, protocol: ProtocolStats { stage1_phases: 5, stage2_phases: 0, cycles: 91, messages: 696, stage1_cycles: 91, stage1_messages: 696, stage1_leftover: 0, killed_attempts: 14, dead_attempts: 0, failed_requests: 0, copies_accessed: 40 } }",
-        r#"readhash=9d6c90eee104d3b7 {"experiment":"E14","scheme":"lpp-2dmot","f":0.125000,"dead_modules":2,"dead_processors":0,"dead_links":0,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"unserved_reads":0,"lost_writes":0,"recovered_majority":68,"recovered_ida":0,"unserved_requests":0,"dead_attempts":94,"dropped_messages":0,"faulty_phases":116,"baseline_phases":113,"read_survival":1.000000,"slowdown":1.0265}"#,
+        r#"readhash=9d6c90eee104d3b7 {"experiment":"E14","scheme":"lpp-2dmot","f":0.125000,"dead_modules":2,"lost_cells":0,"steps":12,"reads":132,"writes":60,"correct_reads":132,"stale_reads":0,"lost_reads":0,"lost_writes":0,"recovered_majority":68,"recovered_ida":0,"dead_attempts":94,"faulty_phases":116,"baseline_phases":113,"read_survival":1.000000,"slowdown":1.0265}"#,
     ),
 ];
 
