@@ -1271,8 +1271,12 @@ pub mod serve {
     pub const SESSION_N: usize = 16;
     /// Cells per session (`m = 4n`, as in E15).
     pub const SESSION_M: usize = 64;
-    /// Steps each session executes during the timed window.
+    /// Steps each session executes during one timed window.
     pub(super) const STEPS_PER_SESSION: u64 = 64;
+    /// Timed windows per grid point, all on the same open sessions; a
+    /// row's throughput is the median window's. A flat scheme's window
+    /// lasts tens of milliseconds, so one window alone is a noisy sample.
+    pub(super) const WINDOWS: usize = 5;
     /// Steps per `STEPN`-shaped command (amortizes the queue round-trip;
     /// well under [`cr_serve::MAX_STEP_BATCH`]).
     const BATCH: u64 = 32;
@@ -1289,22 +1293,22 @@ pub mod serve {
         pub scheme: &'static str,
         /// Service shard count.
         pub shards: usize,
-        /// Concurrent sessions held open through the whole window.
+        /// Concurrent sessions held open through every window.
         pub sessions: usize,
-        /// Total steps executed across all sessions.
+        /// Total steps executed across all sessions and windows.
         pub steps: u64,
-        /// Sustained service-wide throughput.
+        /// Service-wide throughput of the median window.
         pub steps_per_sec: f64,
         /// Median per-step latency (µs) from the merged shard histograms.
         pub p50_us: f64,
         /// 99th-percentile per-step latency (µs).
         pub p99_us: f64,
-        /// Stage-1 cycles over the window, from the service's
+        /// Stage-1 cycles over every window, from the service's
         /// `cr_stage1_cycles_total` metric (aggregate over shards).
         pub stage1_cycles: u64,
-        /// Stage-2 cycles over the window (`cr_stage2_cycles_total`).
+        /// Stage-2 cycles over every window (`cr_stage2_cycles_total`).
         pub stage2_cycles: u64,
-        /// Ops the service PRAM-checked over the window
+        /// Ops the service PRAM-checked over every window
         /// (`cr_verify_checked_ops_total`; 0 when every session runs
         /// `verify=off`). E17 reports it; E16's table does not.
         pub checked_ops: u64,
@@ -1347,13 +1351,14 @@ pub mod serve {
     }
 
     /// Measure one grid point: open every session up front in the given
-    /// verify mode (they stay live for the whole window — that is the
-    /// concurrency being claimed), then drive them from [`DRIVERS`]
-    /// threads via pipelined `step_many` batches (every command of a
-    /// round is enqueued before any reply is awaited, so the shard
-    /// workers' drain loops service bursts), and read the merged latency
-    /// histogram at the end. E16 runs the default mode; E17 runs each
-    /// mode through this same driver.
+    /// verify mode (they stay live for every window — that is the
+    /// concurrency being claimed), then time [`WINDOWS`] windows in which
+    /// [`DRIVERS`] threads drive them [`STEPS_PER_SESSION`] steps further
+    /// via pipelined `step_many` batches (every command of a batch is
+    /// enqueued before any reply is awaited, one batch per shard), and
+    /// read the merged latency histogram at the end. The row's
+    /// throughput is the median window's. E16 runs the default mode; E17
+    /// runs each mode through this same driver.
     pub(super) fn measure(
         kind: SchemeKind,
         shards: usize,
@@ -1375,39 +1380,45 @@ pub mod serve {
                 .sid
             })
             .collect();
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for chunk in sids.chunks(sessions.div_ceil(DRIVERS.min(sessions))) {
-                let h = h.clone();
-                scope.spawn(move || {
-                    for _ in 0..(STEPS_PER_SESSION / BATCH) {
-                        let sum = h
-                            .step_many(chunk, &WorkloadSpec::Uniform, BATCH)
-                            .expect("shards stay up");
-                        assert_eq!(sum.errors, 0, "in-budget steps succeed");
-                        assert_eq!(sum.executed, chunk.len() as u64 * BATCH);
+        let mut windows: Vec<f64> = (0..WINDOWS)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::thread::scope(|scope| {
+                    for chunk in sids.chunks(sessions.div_ceil(DRIVERS.min(sessions))) {
+                        let h = h.clone();
+                        scope.spawn(move || {
+                            for _ in 0..(STEPS_PER_SESSION / BATCH) {
+                                let sum = h
+                                    .step_many(chunk, &WorkloadSpec::Uniform, BATCH)
+                                    .expect("shards stay up");
+                                assert_eq!(sum.errors, 0, "in-budget steps succeed");
+                                assert_eq!(sum.executed, chunk.len() as u64 * BATCH);
+                            }
+                        });
                     }
                 });
-            }
-        });
-        let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
+                t0.elapsed().as_secs_f64().max(1e-9)
+            })
+            .collect();
+        windows.sort_by(f64::total_cmp);
+        let window = windows[WINDOWS / 2];
         // Latency and cycle attribution come straight off the service's
         // metrics registry — the cells INFO and METRICS render, summed
-        // across shards.
+        // across shards and windows.
         let reg = h.registry();
         assert_eq!(
             reg.total("cr_sessions_live"),
             Some(sessions as u64),
             "all sessions stayed live"
         );
-        let steps = sessions as u64 * STEPS_PER_SESSION;
+        let window_steps = sessions as u64 * STEPS_PER_SESSION;
         let latency = reg.histogram("cr_step_latency_ns").unwrap_or_default();
         let row = ServeRow {
             scheme: kind.name(),
             shards,
             sessions,
-            steps,
-            steps_per_sec: steps as f64 / elapsed,
+            steps: window_steps * WINDOWS as u64,
+            steps_per_sec: window_steps as f64 / window,
             p50_us: latency.p50() as f64 / 1e3,
             p99_us: latency.p99() as f64 / 1e3,
             stage1_cycles: reg.total("cr_stage1_cycles_total").unwrap_or(0),
@@ -1491,7 +1502,8 @@ pub mod serve {
             "E16: serving throughput — concurrent sessions (n={}, m={})\n\
              multiplexed over the sharded session service, driven in-process\n\
              by {DRIVERS} pipelining client threads (step_many, {BATCH}-step\n\
-             commands), {} steps/session (seed {}{}).\n\
+             commands). steps/sec is the median of {WINDOWS} windows of {}\n\
+             steps/session on the same sessions (seed {}{}).\n\
              Latency quantiles come from the per-shard fixed-bucket\n\
              histograms, merged.\n{}\n\n\
              cycle attribution (from the cr_stage*_cycles_total metrics):\n{}\njson:\n{}",
@@ -1545,20 +1557,21 @@ pub mod verify_overhead {
         pub mode: &'static str,
         /// Service shard count.
         pub shards: usize,
-        /// Concurrent sessions held open through the window.
+        /// Concurrent sessions held open through every window.
         pub sessions: usize,
-        /// Total steps executed across all sessions.
+        /// Total steps executed across all sessions and windows.
         pub steps: u64,
-        /// Sustained service-wide throughput.
+        /// Service-wide throughput of the median window.
         pub steps_per_sec: f64,
-        /// Throughput relative to the same scheme's `off` row (1.0 =
-        /// free; filled by [`rows`] once the `off` baseline exists).
+        /// Median-window throughput relative to the same scheme's `off`
+        /// row (1.0 = free; filled by [`rows`] once the `off` baseline
+        /// exists).
         pub vs_off: f64,
         /// Heap allocations per step on a single in-process session
         /// (steady state, thread-attributed counter; -1 when the
         /// counting allocator is not installed).
         pub allocs_per_step: f64,
-        /// Trace ops the service checked over the window
+        /// Trace ops the service checked over every window
         /// (`cr_verify_checked_ops_total`; 0 in `off` mode).
         pub checked_ops: u64,
     }
@@ -1697,12 +1710,14 @@ pub mod verify_overhead {
         format!(
             "E17: verification overhead — the cr-verify check (DESIGN.md §12)\n\
              priced against the serving layer: {sessions} concurrent sessions\n\
-             (n={}, m={}) over {shards} shards, {} steps/session, every\n\
-             session opened verify=off|on (seed {}{}).\n\
+             (n={}, m={}) over {shards} shards, every session opened\n\
+             verify=off|on; steps/sec is the median of {} windows of {}\n\
+             steps/session, and vs off divides medians (seed {}{}).\n\
              allocs/step is a single-session steady-state probe — on mode\n\
              preallocates at open, so it must match off.\n{}\njson:\n{}",
             SESSION_N,
             SESSION_M,
+            super::serve::WINDOWS,
             super::serve::STEPS_PER_SESSION,
             ctx.seed,
             if ctx.quick { ", --quick" } else { "" },

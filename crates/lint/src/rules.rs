@@ -57,7 +57,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "hot-alloc",
-        "Vec::new / vec![] / collect / to_vec / clone / format! / Box::new inside a `// lint: hot` function",
+        "Vec::new / vec![] / collect / to_vec / clone / format! / Box::new / with_capacity / chan( inside a `// lint: hot` function",
     ),
     (
         "no-unwrap",
@@ -551,6 +551,28 @@ fn hot_rules(code: &[&Token], i: usize, out: &mut Vec<(usize, &'static str, Stri
         );
         return;
     }
+    // A runtime channel: `chan(..)` or `chan::<T>(..)`, bare or by path.
+    // Making one allocates its buffer and its shared state, so a hot path
+    // keeps its channels and reuses them. A method or a definition of the
+    // same name is something else.
+    let call = (i + 1 < code.len() && code[i + 1].is_punct('('))
+        || (i + 3 < code.len()
+            && code[i + 1].is_punct(':')
+            && code[i + 2].is_punct(':')
+            && code[i + 3].is_punct('<'));
+    if t.is_ident("chan")
+        && call
+        && !(i > 0 && (code[i - 1].is_punct('.') || code[i - 1].is_ident("fn")))
+    {
+        push(
+            out,
+            t,
+            "hot-alloc",
+            "`chan(..)` allocates a channel on the hot path; keep the channel and reuse it"
+                .to_string(),
+        );
+        return;
+    }
     match t.text.as_str() {
         "vec" | "format" if i + 1 < code.len() && code[i + 1].is_punct('!') => push(
             out,
@@ -650,6 +672,23 @@ fn hot(k: usize) {
     out.reserve(k); let c = v.capacity(); let w = with_capacity(k);
 }
 fn cold(k: usize) -> Vec<u64> { Vec::with_capacity(k) }
+";
+        let f = lint_source("x.rs", src, FileContext::default());
+        assert_eq!(rules_of(&f), vec!["hot-alloc", "hot-alloc"]);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), vec![3, 4]);
+    }
+
+    #[test]
+    fn hot_channel_constructors_are_flagged() {
+        let src = "\
+// lint: hot
+fn hot(k: usize) {
+    let (tx, rx) = chan(MAX_IN_FLIGHT);
+    let (a, b) = crate::runtime::chan::<u64>(k);
+    tx.send(1); let c = lane.chan(k); let d = chan;
+}
+fn cold() { let (tx, rx) = chan(1); }
+fn chan(k: usize) {}
 ";
         let f = lint_source("x.rs", src, FileContext::default());
         assert_eq!(rules_of(&f), vec!["hot-alloc", "hot-alloc"]);

@@ -27,13 +27,17 @@
 //!   wire protocol and the in-process API cannot drift apart.
 //!
 //! Throughput comes from batching at every layer (DESIGN.md §11): `STEPN`
-//! batches steps into one command, [`ServiceHandle::step_many`] pipelines
-//! commands across shards before collecting replies, each shard worker
-//! drains a burst of queued commands per wakeup, and the TCP loop
-//! enqueues a client's whole pipelined window on the shards before it
-//! awaits any reply, then writes the replies in frame order with one
-//! flush. A single call, a `step_many` batch and a TCP round all enqueue
-//! through one path, so a shard that stops mid-batch answers the batch
+//! batches steps into one command, a shard's queue carries batches of
+//! commands that come back as one message with a reply per command, and
+//! each shard worker runs a burst of queued batches per wakeup.
+//! [`ServiceHandle::step_many`] sends each shard one batch before it
+//! awaits any reply, and the TCP loop files a client's pipelined window
+//! under its shards, enqueues one batch per shard once the window is
+//! read, and writes the replies in frame order with one flush. So a
+//! window pays one thread handoff per shard, not one per frame. A single
+//! call (a batch of one), a `step_many` batch and a TCP round all enqueue
+//! through one path, and each batch carries the only sender of its reply
+//! channel, so a shard that stops mid-batch answers the batch
 //! `shard down` instead of hanging it.
 //!
 //! Observability (DESIGN.md §10) is built in: every shard records into

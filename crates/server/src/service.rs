@@ -11,10 +11,17 @@
 //! [`Reply`], and the metrics registry — and every verb (`open`, `step`,
 //! `stats`, `trace`, `verify`, `verify_all`, `close`, `events`) plus the
 //! routing is written once, as a provided method. Two drivers implement
-//! it: the threaded [`ServiceHandle`] here, whose `call` hands the
-//! command to the owning shard's worker queue with a private reply
-//! channel, and `cr-sim`'s single-threaded `SimService`, whose `call`
-//! runs the core inline.
+//! it: the threaded [`ServiceHandle`] here, whose `call` enqueues a
+//! batch of one command on the owning shard's worker queue, and
+//! `cr-sim`'s single-threaded `SimService`, whose `call` runs the core
+//! inline.
+//!
+//! A shard worker's queue carries batches: commands that run in order
+//! and come back as one message holding one reply per command. `call`
+//! sends a batch of one, [`ServiceHandle::step_many`] one batch per
+//! shard, and a pipelined TCP round one batch per shard per flush, all
+//! through one enqueue path. So a window of k commands over s shards
+//! costs s queue sends and s reply receives, not k of each.
 //!
 //! The handle is `Clone` — every load-generator thread and TCP
 //! connection clones its own set of queue senders and talks to the
@@ -27,15 +34,16 @@
 
 use cr_core::clock::SimClock;
 use cr_obs::{Event, Gauge, Registry, RegistryBuilder};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::ServeError;
-use crate::runtime::{chan, ChanTx, TaskHandle};
+use crate::runtime::{chan, ChanRx, ChanTx, TaskHandle};
 use crate::session::{SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 use crate::shard::{
-    spawn_shard, Job, OpenInfo, Reply, ShardCmd, ShardCore, ShardObs, TraceInfo, VerifyInfo,
+    spawn_shard, Batch, Job, OpenInfo, Reply, ShardCmd, ShardCore, ShardObs, TraceInfo, VerifyInfo,
     VerifySummary, QUEUE_CAPACITY,
 };
 
@@ -50,7 +58,9 @@ pub const DEFAULT_SWEEP_EVERY: Duration = Duration::from_millis(20);
 pub struct ServiceConfig {
     /// Worker shards (threads). Sessions are hash-routed across them.
     pub shards: usize,
-    /// Per-shard bounded queue capacity (the backpressure knob).
+    /// Per-shard bounded queue capacity in jobs (the backpressure
+    /// knob). A dequeue that finds this many commands outstanding
+    /// counts as queue-full.
     pub queue_capacity: usize,
     /// How often each shard driver runs its idle-TTL sweep.
     pub sweep_every: Duration,
@@ -301,24 +311,20 @@ impl ServiceHandle {
         &self.registry
     }
 
-    /// Enqueue `cmd` on `shard`'s worker queue (blocking while it is
-    /// full) with `reply_tx` as the channel its reply goes back on. The
-    /// one enqueue path: [`ServiceApi::call`], [`ServiceHandle::step_many`]
-    /// and the TCP front end's pipelined rounds all submit through it.
-    /// The sender moves into the job, so a caller that keeps no clone of
-    /// its own sees the reply channel close, not hang, if the shard
-    /// stops before answering.
+    /// Enqueue `batch` on `shard`'s worker queue as one job (blocking
+    /// while the queue is full). The one enqueue path:
+    /// [`ServiceApi::call`], [`ServiceHandle::step_many`] and the TCP
+    /// front end's pipelined rounds all submit through it. The depth
+    /// gauge counts the batch's commands. The batch holds its reply
+    /// channel's only sender, so a caller sees that channel close, not
+    /// hang, if the shard stops before answering.
     // lint: hot
-    pub(crate) fn submit(
-        &self,
-        shard: usize,
-        cmd: ShardCmd,
-        reply_tx: ChanTx<Result<Reply, ServeError>>,
-    ) -> Result<(), ServeError> {
+    pub(crate) fn submit(&self, shard: usize, batch: Batch) -> Result<(), ServeError> {
         let link = self.shards.get(shard).ok_or(ServeError::ShardDown)?;
-        link.queue_depth.add(1);
-        if link.tx.send(Some((cmd, reply_tx))).is_err() {
-            link.queue_depth.sub(1);
+        let cmds = batch.cmds.len() as u64;
+        link.queue_depth.add(cmds);
+        if link.tx.send(Some(batch)).is_err() {
+            link.queue_depth.sub(cmds);
             return Err(ServeError::ShardDown);
         }
         Ok(())
@@ -327,13 +333,12 @@ impl ServiceHandle {
     /// Drive `count` steps of `workload` through every session in `sids`,
     /// issuing all commands before collecting any reply — the in-process
     /// pipelining behind batched load generation and the serve bench.
-    /// Every command shares one reply channel sized to the batch, so the
-    /// shard workers never block replying and the caller pays one channel
-    /// setup per *batch* instead of one per command; commands fan out to
-    /// their home shards and execute there in parallel. Per-command
-    /// failures (unknown session, spent budget) are tallied in
-    /// [`BatchStepSummary::errors`], not returned: a batch is a bulk
-    /// operation and one dead session must not mask the rest.
+    /// The commands are filed by home shard and each shard gets them as
+    /// one batch, so the caller pays one queue send and one reply
+    /// receive per shard, not per command; the shards run their batches
+    /// in parallel. Per-command failures (unknown session, spent budget)
+    /// are tallied in [`BatchStepSummary::errors`], not returned: a batch
+    /// is a bulk operation and one dead session must not mask the rest.
     // lint: hot
     pub fn step_many(
         &self,
@@ -341,23 +346,21 @@ impl ServiceHandle {
         workload: &WorkloadSpec,
         count: u64,
     ) -> Result<BatchStepSummary, ServeError> {
-        let (reply_tx, reply_rx) = chan(sids.len().max(1));
+        // Lanes made for this call: one reply channel per shard touched.
+        let mut lanes = Lanes::new(self.shards.len());
         for &sid in sids {
             let cmd = ShardCmd::Step {
                 sid,
                 workload: workload.clone(), // lint: allow(hot-alloc, one spec clone per command - amortised over the batch)
                 count,
             };
-            let tx = reply_tx.clone(); // lint: allow(hot-alloc, channel-handle refcount bump - no heap allocation)
-            self.submit(self.shard_of(sid), cmd, tx)?;
+            lanes.file(self.shard_of(sid), cmd)?;
         }
-        // Only the queued jobs may hold senders while collecting: a shard
-        // that stops with part of the batch queued then closes the
-        // channel instead of leaving `recv` waiting forever.
-        drop(reply_tx);
+        lanes.dispatch(self)?;
+        lanes.wait()?;
         let mut sum = BatchStepSummary::default();
-        for _ in sids {
-            match reply_rx.recv().map_err(|_| ServeError::ShardDown)? {
+        for &sid in sids {
+            match lanes.reply(self.shard_of(sid)) {
                 Ok(Reply::Step(s)) => {
                     sum.commands += 1;
                     sum.executed += s.executed;
@@ -373,6 +376,106 @@ impl ServiceHandle {
             }
         }
         Ok(sum)
+    }
+}
+
+/// One shard's side of batched dispatch: the batch its commands are
+/// filed into, and the channel the batch comes back on. Both are made
+/// once and reused for every batch the lane sends.
+struct Lane {
+    /// The batch while it is home; `None` while it is at the shard.
+    batch: Option<Batch>,
+    /// Where the batch comes back.
+    back: ChanRx<Batch>,
+}
+
+impl Lane {
+    fn new() -> Lane {
+        let (done, back) = chan(1);
+        Lane {
+            batch: Some(Batch::new(done)),
+            back,
+        }
+    }
+}
+
+/// Per-shard lanes: commands are filed under their shard, dispatched as
+/// one batch per shard that has any, collected, and read back in the
+/// order each shard's commands were filed. A shard's lane is made the
+/// first time a command is filed for it, so a caller that keeps its
+/// lanes (a TCP connection does) allocates no buffer and no channel per
+/// batch. A lane whose shard refused or dropped its batch is forgotten:
+/// its commands read `shard down`, and the next command filed for that
+/// shard starts a fresh lane.
+pub(crate) struct Lanes(Vec<Option<Lane>>);
+
+impl Lanes {
+    /// No lane yet for any of `shards` shards.
+    pub(crate) fn new(shards: usize) -> Lanes {
+        Lanes((0..shards).map(|_| None).collect())
+    }
+
+    /// File `cmd` to run on `shard` at the next dispatch. Fails with
+    /// [`ServeError::ShardDown`] when there is no such shard, or when
+    /// its batch is still out.
+    pub(crate) fn file(&mut self, shard: usize, cmd: ShardCmd) -> Result<(), ServeError> {
+        let slot = self.0.get_mut(shard).ok_or(ServeError::ShardDown)?;
+        let lane = slot.get_or_insert_with(Lane::new);
+        let batch = lane.batch.as_mut().ok_or(ServeError::ShardDown)?;
+        batch.cmds.push(cmd);
+        Ok(())
+    }
+
+    /// Submit, as one job each, the batch of every shard with commands
+    /// filed. A shard that refuses its batch loses its lane, and the
+    /// error says that one did.
+    // lint: hot
+    pub(crate) fn dispatch(&mut self, handle: &ServiceHandle) -> Result<(), ServeError> {
+        let mut out = Ok(());
+        for (shard, slot) in self.0.iter_mut().enumerate() {
+            let filed = slot
+                .as_mut()
+                .and_then(|lane| lane.batch.take_if(|batch| !batch.cmds.is_empty()));
+            let Some(mut batch) = filed else { continue };
+            // Room for every reply, made on this thread: the worker
+            // never grows a buffer it does not own.
+            batch.replies.reserve(batch.cmds.len());
+            if let Err(e) = handle.submit(shard, batch) {
+                *slot = None;
+                out = Err(e);
+            }
+        }
+        out
+    }
+
+    /// Wait for every batch out at a shard to come back. A shard that
+    /// stopped holding its batch loses its lane, and the error says
+    /// that one did.
+    // lint: hot
+    pub(crate) fn wait(&mut self) -> Result<(), ServeError> {
+        let mut out = Ok(());
+        for slot in &mut self.0 {
+            let Some(lane) = slot else { continue };
+            if lane.batch.is_none() {
+                lane.batch = lane.back.recv().ok();
+            }
+            if lane.batch.is_none() {
+                *slot = None;
+                out = Err(ServeError::ShardDown);
+            }
+        }
+        out
+    }
+
+    /// The next reply of `shard`'s batch once it is back, in filing
+    /// order; `shard down` when the shard lost its lane.
+    pub(crate) fn reply(&mut self, shard: usize) -> Result<Reply, ServeError> {
+        self.0
+            .get_mut(shard)
+            .and_then(Option::as_mut)
+            .and_then(|lane| lane.batch.as_mut())
+            .and_then(|batch| batch.replies.pop_front())
+            .unwrap_or(Err(ServeError::ShardDown))
     }
 }
 
@@ -519,12 +622,21 @@ impl ServiceApi for ServiceHandle {
     }
 
     /// Enqueue `cmd` on the owning shard's worker queue (blocking while
-    /// it is full) with a private capacity-1 reply channel, then wait
-    /// for the worker's reply.
+    /// it is full) as a batch of one, then wait for the batch to come
+    /// back with its reply.
     fn call(&mut self, shard: usize, cmd: ShardCmd) -> Result<Reply, ServeError> {
-        let (reply_tx, reply_rx) = chan(1);
-        self.submit(shard, cmd, reply_tx)?;
-        reply_rx.recv().map_err(|_| ServeError::ShardDown)?
+        let (done, back) = chan(1);
+        let batch = Batch {
+            cmds: vec![cmd],
+            replies: VecDeque::with_capacity(1),
+            done,
+        };
+        self.submit(shard, batch)?;
+        let mut batch = back.recv().map_err(|_| ServeError::ShardDown)?;
+        batch
+            .replies
+            .pop_front()
+            .unwrap_or(Err(ServeError::ShardDown))
     }
 
     fn registry(&self) -> &Registry {
@@ -538,22 +650,54 @@ mod tests {
     use crate::protocol::{parse, route, Route};
     use crate::runtime::{sleep, spawn, ChanRx, RecvWait};
     use crate::tcp::Round;
+    use cr_core::SchemeKind;
 
-    /// A one-shard handle over a queue the test holds in place of a
-    /// worker, and that queue's depth gauge.
-    fn detached_handle() -> (ServiceHandle, ChanRx<Job>, Gauge) {
-        let (cores, registry) = build_cores(&ServiceConfig::with_shards(1));
-        let depth = cores[0].queue_depth_gauge();
-        let (tx, rx) = chan(8);
-        let handle = ServiceHandle {
-            shards: Arc::new(vec![ShardLink {
+    const WAIT: Duration = Duration::from_secs(2);
+
+    /// An `n`-shard handle over queues the test holds in place of
+    /// workers, and the cores those workers would run.
+    fn detached_handle(n: usize) -> (ServiceHandle, Vec<ShardCore>, Vec<ChanRx<Job>>) {
+        let (cores, registry) = build_cores(&ServiceConfig::with_shards(n));
+        let mut links = Vec::new();
+        let mut queues = Vec::new();
+        for core in &cores {
+            let (tx, rx) = chan(8);
+            links.push(ShardLink {
                 tx,
-                queue_depth: depth.clone(),
-            }]),
+                queue_depth: core.queue_depth_gauge(),
+            });
+            queues.push(rx);
+        }
+        let handle = ServiceHandle {
+            shards: Arc::new(links),
             next_sid: Arc::new(AtomicU64::new(1)),
             registry: Arc::new(registry),
         };
-        (handle, rx, depth)
+        (handle, cores, queues)
+    }
+
+    /// Take the next job off `queue`, run it on `core` as the shard's
+    /// worker would, and return its commands as `Debug` text.
+    fn serve_one(core: &mut ShardCore, queue: &ChanRx<Job>) -> Vec<String> {
+        let Ok(Some(batch)) = queue.recv_for(WAIT) else {
+            panic!("no batch queued");
+        };
+        let cmds = batch.cmds.iter().map(|c| format!("{c:?}")).collect();
+        batch.run(core);
+        cmds
+    }
+
+    /// Run `f` on its own thread; its result arrives on the returned
+    /// channel.
+    fn on_thread<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> (TaskHandle, ChanRx<T>) {
+        let (tx, rx) = chan(1);
+        let task = spawn("detached-caller", move || {
+            let _ = tx.send(f());
+        })
+        .unwrap();
+        (task, rx)
     }
 
     /// Run `wait` on its own thread until three commands are queued,
@@ -562,12 +706,9 @@ mod tests {
     fn stop_shard_under<T: Send + 'static>(
         wait: impl FnOnce(ServiceHandle) -> T + Send + 'static,
     ) -> Result<T, RecvWait> {
-        let (handle, queue, depth) = detached_handle();
-        let (done_tx, done_rx) = chan(1);
-        let waiter = spawn("stop-shard-waiter", move || {
-            let _ = done_tx.send(wait(handle));
-        })
-        .unwrap();
+        let (handle, cores, mut queues) = detached_handle(1);
+        let depth = cores[0].queue_depth_gauge();
+        let (waiter, done_rx) = on_thread(move || wait(handle));
         for _ in 0..2000 {
             if depth.get() >= 3 {
                 break;
@@ -575,8 +716,8 @@ mod tests {
             sleep(Duration::from_millis(1));
         }
         assert_eq!(depth.get(), 3, "three commands queued");
-        drop(queue);
-        let out = done_rx.recv_for(Duration::from_secs(2));
+        drop(queues.pop());
+        let out = done_rx.recv_for(WAIT);
         if out.is_ok() {
             waiter.join();
         }
@@ -593,17 +734,149 @@ mod tests {
             let mut round = Round::new(1);
             for line in ["STEPN 1 1", "STATS 1", "OPEN 8 64 hashed"] {
                 match route(&mut h, parse(line).unwrap()) {
-                    Route::Shard(shard, cmd) => round.submit(&h, shard, cmd),
+                    Route::Shard(shard, cmd) => round.file(shard, cmd),
                     other => panic!("{line} routed to {other:?}"),
                 }
             }
             let mut out = Vec::new();
-            round.write_to(&mut out).unwrap();
+            round.write_to(&h, &mut out).unwrap();
             String::from_utf8(out).unwrap()
         });
         assert_eq!(
             round,
             Ok("ERR shard down\nERR shard down\nERR shard down\n".to_string())
         );
+    }
+
+    /// A pipelined window over two shards is one job per shard, holding
+    /// that shard's frames in frame order, and the replies come back in
+    /// frame order across the shards.
+    #[test]
+    fn a_round_sends_each_shard_one_batch_of_its_frames_in_frame_order() {
+        let (mut h, mut cores, queues) = detached_handle(2);
+        let lines = [
+            "OPEN 8 64 hashed",
+            "OPEN 8 64 hashed",
+            "OPEN 8 64 hashed",
+            "STEPN 1 1",
+            "STEPN 2 2",
+            "STATS 1",
+            "STEPN 3 3",
+            "TRACE 2",
+        ];
+        let mut round = Round::new(2);
+        let mut want = vec![Vec::new(), Vec::new()];
+        for line in lines {
+            match route(&mut h, parse(line).unwrap()) {
+                Route::Shard(shard, cmd) => {
+                    want[shard].push(format!("{cmd:?}"));
+                    round.file(shard, cmd);
+                }
+                other => panic!("{line} routed to {other:?}"),
+            }
+        }
+        assert!(
+            want.iter().all(|w| !w.is_empty()),
+            "the window spans both shards: {want:?}"
+        );
+        for q in &queues {
+            assert!(
+                q.try_recv().is_none(),
+                "nothing is enqueued before the flush"
+            );
+        }
+        round.dispatch(&h);
+        for shard in 0..2 {
+            let depth = cores[shard].queue_depth_gauge().get();
+            assert_eq!(depth, want[shard].len() as u64, "depth counts commands");
+            assert_eq!(serve_one(&mut cores[shard], &queues[shard]), want[shard]);
+            assert!(queues[shard].try_recv().is_none(), "one job per shard");
+        }
+        let mut out = Vec::new();
+        round.write_to(&h, &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let replies: Vec<&str> = out.lines().collect();
+        assert_eq!(replies.len(), lines.len(), "{out}");
+        for (reply, want) in replies.iter().zip([
+            "OK sid=1 ",
+            "OK sid=2 ",
+            "OK sid=3 ",
+            "OK executed=1 steps=1 ",
+            "OK executed=2 steps=2 ",
+            "OK steps=1 ",
+            "OK executed=3 steps=3 ",
+            "OK sid=2 steps=2 ",
+        ]) {
+            assert!(reply.starts_with(want), "{reply} is not {want}...");
+        }
+    }
+
+    /// `call` enqueues a batch of one command; `step_many` enqueues one
+    /// batch per shard its sessions live on, and none on the others.
+    #[test]
+    fn call_sends_one_command_and_step_many_one_batch_per_shard_touched() {
+        let (h, mut cores, queues) = detached_handle(2);
+        let sids: Vec<u64> = (1..=6).collect();
+        for &sid in &sids {
+            let spec = SessionSpec::new(8, 64, SchemeKind::Hashed);
+            let open = cores[h.shard_of(sid)].handle(ShardCmd::Open { sid, spec });
+            assert!(open.is_ok(), "{open:?}");
+        }
+
+        let (caller, stats) = on_thread({
+            let mut h = h.clone();
+            move || h.stats(1)
+        });
+        let home = h.shard_of(1);
+        assert_eq!(
+            serve_one(&mut cores[home], &queues[home]),
+            ["Stats { sid: 1 }"]
+        );
+        assert!(matches!(stats.recv_for(WAIT), Ok(Ok(st)) if st.steps == 0));
+        caller.join();
+
+        let step = |sid| {
+            format!(
+                "{:?}",
+                ShardCmd::Step {
+                    sid,
+                    workload: WorkloadSpec::Uniform,
+                    count: 2
+                }
+            )
+        };
+        let on = |shard| -> Vec<u64> {
+            sids.iter()
+                .copied()
+                .filter(|&s| h.shard_of(s) == shard)
+                .collect()
+        };
+        let (stepper, sum) = on_thread({
+            let (h, sids) = (h.clone(), sids.clone());
+            move || h.step_many(&sids, &WorkloadSpec::Uniform, 2)
+        });
+        for shard in 0..2 {
+            let want: Vec<String> = on(shard).into_iter().map(step).collect();
+            assert!(!want.is_empty(), "sessions on shard {shard}");
+            assert_eq!(serve_one(&mut cores[shard], &queues[shard]), want);
+        }
+        let sum = sum.recv_for(WAIT).unwrap().unwrap();
+        assert_eq!((sum.commands, sum.errors, sum.executed), (6, 0, 12));
+        stepper.join();
+
+        let (stepper, sum) = on_thread({
+            let (h, sids) = (h.clone(), on(0));
+            move || h.step_many(&sids, &WorkloadSpec::Uniform, 2)
+        });
+        let want: Vec<String> = on(0).into_iter().map(step).collect();
+        assert_eq!(serve_one(&mut cores[0], &queues[0]), want);
+        assert_eq!(
+            sum.recv_for(WAIT).unwrap().unwrap().commands,
+            want.len() as u64
+        );
+        stepper.join();
+        for q in &queues {
+            assert!(q.try_recv().is_none(), "one job per shard touched");
+        }
     }
 }

@@ -16,10 +16,11 @@
 //! [`ShardCore::sweep`] runs the idle-TTL eviction, so all shard
 //! behavior lives here and none of it touches a channel. Drivers differ
 //! only in how commands reach a core: the threaded service runs each
-//! core on its own OS thread behind a command queue, pairing every
-//! command with a private reply channel, while `cr-sim` owns the cores
-//! and calls them inline on virtual time — same commands, same replies,
-//! same events, deterministic interleaving.
+//! core on its own OS thread behind a queue of batches, each batch a
+//! run of commands that goes back to its submitter with one reply per
+//! command, while `cr-sim` owns the cores and calls them inline on
+//! virtual time — same commands, same replies, same events,
+//! deterministic interleaving.
 //!
 //! Observability (DESIGN.md §10) rides the same single-threaded loop:
 //! each core owns one bundle of preregistered `cr-obs` handles (recorded
@@ -32,24 +33,27 @@
 use cr_core::clock::{SimClock, Tick};
 use cr_obs::{Counter, Event, EventKind, EventRing, Gauge, SharedHistogram};
 use cr_verify::VerifyReport;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use crate::error::ServeError;
 use crate::runtime::{spawn, ChanRx, ChanTx, RecvWait, TaskHandle};
 use crate::session::{Session, SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 
-/// Per-shard command-queue capacity (bounded: this is the backpressure).
+/// Per-shard queue capacity, in jobs (bounded: this is the
+/// backpressure). A dequeue that finds this many *commands* outstanding
+/// counts as queue-full.
 pub const QUEUE_CAPACITY: usize = 1024;
 
 /// Per-shard event-ring capacity: the most recent events kept for
 /// `EVENTS`; older ones are overwritten and counted as dropped.
 pub const EVENTS_CAPACITY: usize = 4096;
 
-/// How many already-queued commands one successful dequeue may service
-/// before the worker returns to its timed wait. Draining a burst
-/// amortizes the blocking-receive wakeup across every command a
-/// pipelining client managed to enqueue meanwhile; the bound keeps the
+/// How many commands one wakeup may service before the worker returns
+/// to its timed wait: after the blocking receive lands a batch, the
+/// worker takes further queued batches until their commands reach this
+/// bound. Draining a burst amortizes the wakeup across everything
+/// pipelining clients managed to enqueue meanwhile; the bound keeps the
 /// TTL sweep's cadence honest under sustained load.
 pub const DRAIN_BURST: usize = 64;
 
@@ -183,18 +187,63 @@ pub enum ShardCmd {
     },
 }
 
-/// What a threaded shard's queue carries: a command paired with the
-/// private channel its reply goes back on, or `None` to stop the worker.
-pub(crate) type Job = Option<(ShardCmd, ChanTx<Result<Reply, ServeError>>)>;
+/// One job for a threaded shard: commands to run in order, and the
+/// buffers their replies come back in.
+///
+/// The worker runs every command, pushes one reply per command onto
+/// `replies`, and sends the whole batch back on `done`, so both buffers
+/// return to the thread that filled them and are reused there. The
+/// batch holds the only sender of its reply channel: a worker that
+/// stops while holding it drops that sender, and the submitter reads
+/// the closed channel as `shard down` instead of waiting forever.
+#[derive(Debug)]
+pub(crate) struct Batch {
+    /// Commands still to run, in the order they were filed.
+    pub(crate) cmds: Vec<ShardCmd>,
+    /// One reply per command run, in the same order.
+    pub(crate) replies: VecDeque<Result<Reply, ServeError>>,
+    /// Where the batch goes once every command has run.
+    pub(crate) done: ChanTx<Batch>,
+}
+
+impl Batch {
+    /// An empty batch that comes back on `done`.
+    pub(crate) fn new(done: ChanTx<Batch>) -> Batch {
+        Batch {
+            cmds: Vec::new(),
+            replies: VecDeque::new(),
+            done,
+        }
+    }
+
+    /// Run every command on `core`, in order, and send the batch back
+    /// holding their replies. Each command counts as one dequeue
+    /// ([`ShardCore::note_dequeue`]): the depth gauge and the queue-full
+    /// count measure commands, not batches.
+    // lint: hot
+    pub(crate) fn run(mut self, core: &mut ShardCore) {
+        for cmd in self.cmds.drain(..) {
+            core.note_dequeue();
+            self.replies.push_back(core.handle(cmd));
+        }
+        // The batch carries its channel's only sender inside itself, so
+        // the send borrows a second one for the moment it takes.
+        let _ = self.done.clone().send(self); // lint: allow(hot-alloc, channel-handle refcount bump - no heap allocation)
+    }
+}
+
+/// What a threaded shard's queue carries: a batch, or `None` to stop
+/// the worker.
+pub(crate) type Job = Option<Batch>;
 
 /// The complete state machine of one shard: sessions, observability
 /// handles, event ring, and clock — but no thread, queue, or timer.
 ///
 /// The threaded service runs each core on its own worker thread behind
-/// a command queue; `cr-sim` owns a vector of cores directly and calls
-/// [`ShardCore::handle`] / [`ShardCore::sweep`] from its deterministic
-/// executor. Both drivers see identical behavior because all of it
-/// lives here.
+/// a queue of command batches; `cr-sim` owns a vector of cores directly
+/// and calls [`ShardCore::handle`] / [`ShardCore::sweep`] from its
+/// deterministic executor. Both drivers see identical behavior because
+/// all of it lives here.
 pub struct ShardCore {
     shard: usize,
     /// Ordered map: the TTL sweep and any future iteration visit
@@ -518,11 +567,11 @@ impl ShardCore {
 /// Run one shard core on its own worker thread; returns its task
 /// handle, or the spawn error as a [`ServeError`] (a service must
 /// degrade, not panic, when the host hits a thread limit). The loop is
-/// deliberately thin: all behavior lives in [`ShardCore`], each command
-/// is answered on the reply channel it arrived with, and the only
-/// scheduling here is the timed wait that doubles as the sweep timer —
-/// its cadence is the service-configured `sweep_every`, so no real-time
-/// constant hides in the shard. A `None` job stops the loop.
+/// deliberately thin: all behavior lives in [`ShardCore`], each batch
+/// goes back on the channel it carries, and the only scheduling here is
+/// the timed wait that doubles as the sweep timer — its cadence is the
+/// service-configured `sweep_every`, so no real-time constant hides in
+/// the shard. A `None` job stops the loop.
 pub(crate) fn spawn_shard(
     mut core: ShardCore,
     rx: ChanRx<Job>,
@@ -531,32 +580,15 @@ pub(crate) fn spawn_shard(
     let name = format!("cr-serve-shard-{}", core.shard());
     spawn(&name, move || {
         let mut last_sweep = core.clock().now();
-        'serve: loop {
+        loop {
             match rx.recv_for(sweep_every) {
-                // lint: hot
-                // One pop services a burst: after the blocking receive
-                // lands a command, drain whatever else is already queued
-                // (non-blocking, `DRAIN_BURST`-bounded) before waiting
-                // again. Each command still carries — and gets — its own
-                // reply, so pipelined clients see one reply line per
-                // request.
-                Ok(first) => {
-                    let mut job = Some(first);
-                    let mut burst = 0;
-                    while let Some(j) = job.take() {
-                        let Some((cmd, reply)) = j else {
-                            break 'serve;
-                        };
-                        core.note_dequeue();
-                        let _ = reply.send(core.handle(cmd));
-                        burst += 1;
-                        if burst < DRAIN_BURST {
-                            job = rx.try_recv();
-                        }
+                Ok(Some(first)) => {
+                    if !drain_burst(&mut core, &rx, first) {
+                        break;
                     }
                 }
+                Ok(None) | Err(RecvWait::Closed) => break,
                 Err(RecvWait::Timeout) => {}
-                Err(RecvWait::Closed) => break 'serve,
             }
             // The *cadence* of sweep checks is the queue's timed wait;
             // whether a session is expired is judged purely on the
@@ -568,4 +600,26 @@ pub(crate) fn spawn_shard(
             }
         }
     })
+}
+
+/// One wakeup's work: run `first`, then whatever batches are already
+/// queued (taken without blocking), until their commands reach
+/// [`DRAIN_BURST`] or the queue is empty. Returns `false` when a stop
+/// job was taken.
+// lint: hot
+fn drain_burst(core: &mut ShardCore, rx: &ChanRx<Job>, first: Batch) -> bool {
+    let mut batch = first;
+    let mut burst = 0;
+    loop {
+        burst += batch.cmds.len();
+        batch.run(core);
+        if burst >= DRAIN_BURST {
+            return true;
+        }
+        match rx.try_recv() {
+            None => return true,
+            Some(None) => return false,
+            Some(Some(next)) => batch = next,
+        }
+    }
 }

@@ -14,20 +14,23 @@
 //! line, then exactly that many more lines.
 //!
 //! Clients may pipeline: send a window of frames without waiting, and
-//! get one reply line per frame, in frame order. The loop dispatches a
-//! window as a **round**. Each session frame is enqueued on its shard as
-//! soon as it is parsed (`OPEN` takes its sid at that moment, so a later
-//! frame for the new session queues behind it on the same shard), and a
-//! parse error takes its reply slot at once. Shards work through a
-//! round in parallel; each answers its queue in FIFO order, so the round
-//! needs one reply channel per shard it touched. A service-level frame
-//! (`INFO`, `METRICS`, `PING`, `QUIT`, bare `VERIFY`, bare `EVENTS`)
-//! first collects the round, so it sees every earlier frame of the
-//! connection executed. The round is collected, written in frame order
-//! and flushed once when the read buffer holds no further complete
-//! frame, or when 64 frames (a private cap) are outstanding — the loop
-//! never blocks on the socket while replies are outstanding, and a
-//! ping-pong client is answered before the loop reads again.
+//! get one reply line per frame, in frame order. The loop serves a
+//! window as a **round**. Each session frame is filed under its shard
+//! as it is parsed (`OPEN` takes its sid at that moment, so a later
+//! frame for the new session runs behind it in the same shard batch),
+//! and a parse error takes its reply slot at once. The round flushes
+//! when the read buffer holds no further complete frame, or when 64
+//! frames (a private cap) are outstanding: it enqueues one batch per
+//! shard it touched, the shards run their batches in parallel, each
+//! batch comes back as one message with a reply per command, and the
+//! replies are written in frame order with one flush. A service-level
+//! frame (`INFO`, `METRICS`, `PING`, `QUIT`, bare `VERIFY`, bare
+//! `EVENTS`) first runs the round's batches to completion, so it sees
+//! every earlier frame of the connection executed. The loop never
+//! blocks on the socket while replies are outstanding, and a ping-pong
+//! client is answered before the loop reads again. The connection keeps
+//! its per-shard batch buffers and reply channels for its lifetime, so
+//! a round allocates neither.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -35,18 +38,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::error::ServeError;
 use crate::protocol::{answer, parse, render_reply, route, Route};
-use crate::runtime::{self, chan, ChanRx, ChanTx, TaskHandle};
-use crate::service::{ServiceApi, ServiceHandle};
-use crate::shard::{Reply, ShardCmd};
+use crate::runtime::{self, TaskHandle};
+use crate::service::{Lanes, ServiceApi, ServiceHandle};
+use crate::shard::ShardCmd;
 
 /// Longest accepted frame line (bytes, including the newline).
 pub const MAX_FRAME: u64 = 64 * 1024;
 
-/// Most frames one connection dispatches before it collects their
-/// replies. Every reply channel of a round holds this many, so a shard
-/// never blocks answering one.
+/// Most frames a round holds before it flushes, and so the most
+/// commands one of its shard batches carries.
 const MAX_IN_FLIGHT: usize = 64;
 
 /// How often blocked socket reads / the accept loop re-check shutdown.
@@ -138,33 +139,28 @@ fn accept_loop(listener: TcpListener, handle: ServiceHandle, stop: Arc<AtomicBoo
     }
 }
 
-type ReplyTx = ChanTx<Result<Reply, ServeError>>;
-type ReplyRx = ChanRx<Result<Reply, ServeError>>;
-
 /// One reply of a round, in frame order.
 enum Slot {
-    /// Rendered: a parse error, a refused enqueue, a service-level reply.
+    /// Rendered: a parse error, a refused command, a service-level reply.
     Ready(String),
-    /// Enqueued on this shard; its reply is the next one due on the
-    /// round's channel for that shard.
+    /// Filed on this shard; its reply is the shard's next one when the
+    /// round is collected.
     Pending(usize),
 }
 
-/// The frames a connection has dispatched and not yet answered.
+/// The frames a connection has read and not yet answered.
 pub(crate) struct Round {
     slots: Vec<Slot>,
-    /// Per shard, this round's reply channel: made on the round's first
-    /// frame for the shard, dropped when the round is collected.
-    senders: Vec<Option<ReplyTx>>,
-    receivers: Vec<Option<ReplyRx>>,
+    /// One batch per shard, with its reply channel, kept for the
+    /// connection's lifetime.
+    lanes: Lanes,
 }
 
 impl Round {
     pub(crate) fn new(shards: usize) -> Round {
         Round {
             slots: Vec::with_capacity(MAX_IN_FLIGHT),
-            senders: (0..shards).map(|_| None).collect(),
-            receivers: (0..shards).map(|_| None).collect(),
+            lanes: Lanes::new(shards),
         }
     }
 
@@ -177,45 +173,44 @@ impl Round {
         self.slots.push(Slot::Ready(reply));
     }
 
-    /// Enqueue `cmd` on `shard` without waiting for its reply.
-    pub(crate) fn submit(&mut self, handle: &ServiceHandle, shard: usize, cmd: ShardCmd) {
-        let (Some(tx), Some(rx)) = (self.senders.get_mut(shard), self.receivers.get_mut(shard))
-        else {
-            return self.ready(render_reply(Err(ServeError::ShardDown)));
-        };
-        let tx = tx.get_or_insert_with(|| {
-            let (tx, new_rx) = chan(MAX_IN_FLIGHT);
-            *rx = Some(new_rx);
-            tx
-        });
-        match handle.submit(shard, cmd, tx.clone()) {
+    /// File `cmd` under `shard`; it is enqueued when the round flushes.
+    pub(crate) fn file(&mut self, shard: usize, cmd: ShardCmd) {
+        match self.lanes.file(shard, cmd) {
             Ok(()) => self.slots.push(Slot::Pending(shard)),
             Err(e) => self.ready(render_reply(Err(e))),
         }
     }
 
-    /// Wait for every pending reply and render it into its slot. The
-    /// round drops its own senders first: a shard that stops mid-round
-    /// closes its channel, and the frames it never answered read
-    /// `ERR shard down`.
-    fn collect(&mut self) {
-        self.senders.iter_mut().for_each(|tx| *tx = None);
+    /// Enqueue one batch per shard the round filed frames for. A shard
+    /// that refuses its batch answers its frames `ERR shard down` when
+    /// the round is collected.
+    // lint: hot
+    pub(crate) fn dispatch(&mut self, handle: &ServiceHandle) {
+        let _ = self.lanes.dispatch(handle);
+    }
+
+    /// Dispatch the round, wait for every batch, and render each reply
+    /// into its slot in frame order. A shard that stops mid-round drops
+    /// its batch, and the frames it held read `ERR shard down`.
+    // lint: hot
+    fn collect(&mut self, handle: &ServiceHandle) {
+        self.dispatch(handle);
+        let _ = self.lanes.wait();
         for slot in &mut self.slots {
             if let Slot::Pending(shard) = *slot {
-                let reply = match self.receivers.get(shard).and_then(Option::as_ref) {
-                    Some(rx) => rx.recv().unwrap_or(Err(ServeError::ShardDown)),
-                    None => Err(ServeError::ShardDown),
-                };
-                *slot = Slot::Ready(render_reply(reply));
+                *slot = Slot::Ready(render_reply(self.lanes.reply(shard)));
             }
         }
-        self.receivers.iter_mut().for_each(|rx| *rx = None);
     }
 
     /// Collect the round and write its replies in frame order, one line
     /// each; the round is empty afterwards.
-    pub(crate) fn write_to(&mut self, out: &mut impl Write) -> std::io::Result<()> {
-        self.collect();
+    pub(crate) fn write_to(
+        &mut self,
+        handle: &ServiceHandle,
+        out: &mut impl Write,
+    ) -> std::io::Result<()> {
+        self.collect(handle);
         for slot in self.slots.drain(..) {
             if let Slot::Ready(reply) = slot {
                 out.write_all(reply.as_bytes())?;
@@ -227,8 +222,12 @@ impl Round {
 }
 
 /// Write whatever `round` still holds and flush it.
-fn flush_round(round: &mut Round, writer: &mut BufWriter<TcpStream>) -> std::io::Result<()> {
-    round.write_to(writer)?;
+fn flush_round(
+    round: &mut Round,
+    handle: &ServiceHandle,
+    writer: &mut BufWriter<TcpStream>,
+) -> std::io::Result<()> {
+    round.write_to(handle, writer)?;
     writer.flush()
 }
 
@@ -253,7 +252,7 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
         // a newline buffered never reaches the socket.
         if round.len() > 0
             && (round.len() >= MAX_IN_FLIGHT || !reader.buffer().contains(&b'\n'))
-            && flush_round(&mut round, &mut writer).is_err()
+            && flush_round(&mut round, &handle, &mut writer).is_err()
         {
             return;
         }
@@ -286,9 +285,9 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
             match parse(line) {
                 Err(msg) => round.ready(format!("ERR {msg}")),
                 Ok(frame) => match route(&mut handle, frame) {
-                    Route::Shard(shard, cmd) => round.submit(&handle, shard, cmd),
+                    Route::Shard(shard, cmd) => round.file(shard, cmd),
                     service => {
-                        round.collect();
+                        round.collect(&handle);
                         match answer(&mut handle, service) {
                             Some(reply) => round.ready(reply),
                             None => {
@@ -302,7 +301,7 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
         }
         buf.clear();
         if at_eof {
-            let _ = flush_round(&mut round, &mut writer);
+            let _ = flush_round(&mut round, &handle, &mut writer);
             return;
         }
     }
@@ -311,5 +310,5 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
     if buf.len() as u64 >= MAX_FRAME {
         round.ready("ERR frame exceeds 64KiB".to_string());
     }
-    let _ = flush_round(&mut round, &mut writer);
+    let _ = flush_round(&mut round, &handle, &mut writer);
 }

@@ -5,6 +5,7 @@
 
 use cr_serve::tcp::Server;
 use cr_serve::{Service, ServiceApi, ServiceConfig};
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
@@ -371,6 +372,55 @@ fn oversized_frame_after_a_window_is_answered_after_the_window() {
     assert_eq!(c.read_line(), "OK pong");
     assert_eq!(field(&c.read_line(), "executed"), "4");
     assert_eq!(c.read_line(), "ERR frame exceeds 64KiB");
+    server.shutdown();
+    service.shutdown();
+}
+
+/// One burst on a fresh two-shard server: sessions opened and stepped by
+/// their new sids, steps on both shards, a bare `VERIFY` mid-burst that
+/// sees every earlier step, and `QUIT` at the end. Exactly one reply per
+/// frame comes back, in frame order.
+#[test]
+fn one_burst_over_both_shards_is_answered_once_per_frame_in_frame_order() {
+    let (service, server) = boot(2);
+    let mut c = Client::connect(server.local_addr());
+    // A fresh service numbers sessions from 1, so the burst can step a
+    // session in the window that opens it.
+    let sids = 1..=4u64;
+    let mut frames: Vec<String> = sids
+        .clone()
+        .map(|sid| format!("OPEN 8 64 hashed seed={sid}"))
+        .collect();
+    frames.extend(sids.clone().map(|sid| format!("STEPN {sid} {sid}")));
+    frames.extend(sids.clone().map(|sid| format!("VERIFY {sid}")));
+    frames.extend(["VERIFY", "STEPN 1 5", "STATS 1", "QUIT"].map(String::from));
+    c.send_window(&frames);
+    let replies: Vec<String> = frames.iter().map(|_| c.read_line()).collect();
+    assert_eq!(c.read_line(), "", "nothing follows QUIT's reply");
+
+    let mut shards = BTreeSet::new();
+    for (sid, open) in sids.clone().zip(&replies[0..4]) {
+        assert_eq!(field(open, "sid"), sid.to_string(), "{open}");
+        shards.insert(field(open, "shard").to_string());
+    }
+    assert_eq!(shards.len(), 2, "the burst steps sessions on both shards");
+    for (sid, step) in sids.clone().zip(&replies[4..8]) {
+        assert_eq!(field(step, "executed"), sid.to_string(), "{step}");
+        assert_eq!(field(step, "steps"), sid.to_string(), "{step}");
+    }
+    let mut ops = 0;
+    for (sid, verify) in sids.clone().zip(&replies[8..12]) {
+        assert_eq!(field(verify, "sid"), sid.to_string(), "{verify}");
+        assert_eq!(field(verify, "verdict"), "consistent", "{verify}");
+        ops += field(verify, "ops").parse::<u64>().unwrap();
+    }
+    assert!(ops > 0, "the steps were checked");
+    let all = &replies[12];
+    assert_eq!(field(all, "sessions"), "4", "{all}");
+    assert_eq!(field(all, "ops"), ops.to_string(), "{all}");
+    assert_eq!(field(&replies[13], "executed"), "5", "{}", replies[13]);
+    assert_eq!(field(&replies[14], "steps"), "6", "{}", replies[14]);
+    assert_eq!(replies[15], "OK bye");
     server.shutdown();
     service.shutdown();
 }
